@@ -203,7 +203,7 @@ func BenchmarkAblationSplitWays(b *testing.B) {
 	for _, ways := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
 			// The decode cache is what makes fine-grained splitting pay:
-			// without it every sub-task re-decodes the whole block.
+			// without it every sub-task re-verifies the whole block in its lease.
 			sys, err := core.NewSystem(core.Options{
 				Nodes: 1, WorkersPerNode: 4, Reorder: true,
 				DecodeCacheBytes: 64 << 20,

@@ -18,6 +18,11 @@ import (
 type Member struct {
 	ID   string
 	Addr string
+	// Inc is the member's incarnation: the start time (Unix nanoseconds)
+	// of its process, so a restarted peer has a newer one. NewNode fills
+	// it in for Self; it is 0 for a peer whose incarnation is not known
+	// yet (learned from the peer's own gossip).
+	Inc uint64
 }
 
 // Config builds a Node.
@@ -62,8 +67,10 @@ type Config struct {
 	// RPCTimeout bounds each inter-peer round trip (default 2s).
 	RPCTimeout time.Duration
 	// OnDeath, when non-nil, is called (on its own goroutine) once per
-	// peer declared dead — the hook doocserve uses to fail the engine
-	// nodes mapped onto that peer so their tasks re-execute on survivors.
+	// peer declared dead, whether this node's prober found the death or a
+	// newer gossiped view reported the death of the incarnation this node
+	// knows — the hook doocserve uses to fail the engine nodes mapped onto
+	// that peer so their tasks re-execute on survivors.
 	OnDeath func(id string)
 	// Logf, when non-nil, receives membership event lines.
 	Logf func(format string, args ...any)
@@ -138,6 +145,10 @@ type Node struct {
 	mu      sync.Mutex
 	members map[string]Member
 	dead    map[string]bool
+	// deadInc holds, for each peer declared dead (not expelled), the
+	// incarnation that died. It travels with the view, so a receiver can
+	// tell a death from a rejoin it has already seen.
+	deadInc map[string]uint64
 	seen    map[string]bool // peers successfully contacted at least once
 	version uint64
 	ring    *Ring
@@ -189,6 +200,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 2 * time.Second
 	}
+	if cfg.Self.Inc == 0 {
+		cfg.Self.Inc = uint64(time.Now().UnixNano())
+	}
 	n := &Node{
 		cfg:        cfg,
 		table:      NewBlockTable(cfg.TableBytes),
@@ -196,6 +210,7 @@ func NewNode(cfg Config) (*Node, error) {
 		metrics:    newNodeMetrics(cfg.Obs, cfg.Self.ID),
 		members:    make(map[string]Member),
 		dead:       make(map[string]bool),
+		deadInc:    make(map[string]uint64),
 		seen:       make(map[string]bool),
 		epochs:     make(map[string]*arrayEpochs),
 		pendingDel: make(map[string]map[string]bool),
@@ -465,17 +480,24 @@ func (n *Node) markDead(id string) {
 		n.mu.Unlock()
 		return
 	}
+	n.deadInc[id] = n.members[id].Inc
 	delete(n.members, id)
 	n.dead[id] = true
 	n.version++
 	n.rebuildRingLocked()
-	cb := n.cfg.OnDeath
 	n.mu.Unlock()
+	n.noteDeath(id)
+}
+
+// noteDeath counts a peer this node has just removed as dead, drops its
+// client and fires the OnDeath hook; the caller has already moved it from
+// members to dead.
+func (n *Node) noteDeath(id string) {
 	n.peerDeaths.Add(1)
 	n.metrics.peerDeaths.Inc()
 	n.logf("cluster: peer %s declared dead; view now v%d", id, n.Version())
 	n.dropClient(id)
-	if cb != nil {
+	if cb := n.cfg.OnDeath; cb != nil {
 		go cb(id)
 	}
 }
@@ -549,50 +571,75 @@ func (n *Node) gossipOnce() {
 	}
 }
 
-// wireView snapshots the membership view in wire form, members sorted for
-// determinism.
+// wireView snapshots the membership view in wire form, members and dead
+// incarnations sorted for determinism.
 func (n *Node) wireView() remote.PeerView {
 	n.mu.Lock()
 	v := remote.PeerView{From: n.cfg.Self.ID, Version: n.version}
 	v.Members = make([]remote.PeerMember, 0, len(n.members))
 	for _, m := range n.members {
-		v.Members = append(v.Members, remote.PeerMember{ID: m.ID, Addr: m.Addr})
+		v.Members = append(v.Members, remote.PeerMember{ID: m.ID, Addr: m.Addr, Inc: m.Inc})
+	}
+	for id, inc := range n.deadInc {
+		v.Dead = append(v.Dead, remote.PeerMember{ID: id, Inc: inc})
 	}
 	n.mu.Unlock()
 	sort.Slice(v.Members, func(i, j int) bool { return v.Members[i].ID < v.Members[j].ID })
+	sort.Slice(v.Dead, func(i, j int) bool { return v.Dead[i].ID < v.Dead[j].ID })
 	return v
 }
 
 // mergeView folds a received view into ours. A strictly newer view is
 // adopted wholesale (self is always re-added — a node never removes
-// itself from its own view); otherwise an unknown sender is admitted as a
-// join or rejoin with a version bump, which is how a freshly (re)started
-// peer propagates into an established cluster whose version has moved on.
+// itself from its own view; a member we know in a newer incarnation keeps
+// that entry). A member it drops is a death learned by gossip, handled
+// like one this node's prober found, only when the sender declared the
+// very incarnation this node knows dead; any other dropped member (one
+// that rejoined after, or while, the sender saw it die) is dropped quietly
+// and gossips back in. Otherwise an unknown sender is admitted as a join
+// or rejoin with a version bump, which is how a freshly (re)started peer
+// propagates into an established cluster whose version has moved on.
 func (n *Node) mergeView(v remote.PeerView) {
 	n.mu.Lock()
 	changed := false
+	var gone []string
 	if v.Version > n.version {
 		nm := make(map[string]Member, len(v.Members)+1)
 		for _, m := range v.Members {
-			nm[m.ID] = Member{ID: m.ID, Addr: m.Addr}
+			nm[m.ID] = Member{ID: m.ID, Addr: m.Addr, Inc: m.Inc}
+			if old, ok := n.members[m.ID]; ok && old.Inc > m.Inc {
+				nm[m.ID] = old
+			}
 		}
 		version := v.Version
 		if _, ok := nm[n.cfg.Self.ID]; !ok {
-			nm[n.cfg.Self.ID] = n.cfg.Self
 			version++
+		}
+		nm[n.cfg.Self.ID] = n.cfg.Self
+		for _, d := range v.Dead {
+			if m, ok := n.members[d.ID]; ok && d.Inc >= m.Inc {
+				if _, kept := nm[d.ID]; !kept {
+					n.dead[d.ID] = true
+					n.deadInc[d.ID] = d.Inc
+					gone = append(gone, d.ID)
+				}
+			}
 		}
 		n.members = nm
 		n.version = version
 		for id := range nm {
-			delete(n.dead, id) // present in a newer view = alive again
+			// present in a newer view = alive again
+			delete(n.dead, id)
+			delete(n.deadInc, id)
 		}
 		changed = true
 	} else if v.From != "" && v.From != n.cfg.Self.ID {
 		if _, ok := n.members[v.From]; !ok {
 			for _, m := range v.Members {
 				if m.ID == v.From {
-					n.members[v.From] = Member{ID: m.ID, Addr: m.Addr}
+					n.members[v.From] = Member{ID: m.ID, Addr: m.Addr, Inc: m.Inc}
 					delete(n.dead, v.From)
+					delete(n.deadInc, v.From)
 					n.version++
 					changed = true
 					break
@@ -602,11 +649,21 @@ func (n *Node) mergeView(v remote.PeerView) {
 	}
 	if v.From != "" && v.From != n.cfg.Self.ID {
 		n.seen[v.From] = true
+		// The sender's own entry carries its current incarnation.
+		for _, m := range v.Members {
+			if cur, ok := n.members[m.ID]; ok && m.ID == v.From && m.Inc > cur.Inc {
+				cur.Inc = m.Inc
+				n.members[m.ID] = cur
+			}
+		}
 	}
 	if changed {
 		n.rebuildRingLocked()
 	}
 	n.mu.Unlock()
+	for _, id := range gone {
+		n.noteDeath(id)
+	}
 	if changed {
 		n.logf("cluster: view now v%d with %d members", n.Version(), len(n.LiveMembers()))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -531,6 +532,85 @@ func TestNodeDeathFailover(t *testing.T) {
 		if data, ok := p.node.FetchBlock("A", 1); !ok || !bytes.Equal(data, payload) {
 			t.Fatalf("%s lost the durable block after one death", p.id)
 		}
+	}
+}
+
+// TestGossipDeathVersusConcurrentRejoin drives mergeView directly through a
+// rejoin that races a death elsewhere: a peer that saw c's first death but
+// not c's rejoin gossips a newer view without c while declaring d dead.
+// Only d's death may fire OnDeath; the rejoined c is dropped quietly and
+// gossips back in, and a later death of c's new incarnation does fire.
+func TestGossipDeathVersusConcurrentRejoin(t *testing.T) {
+	var mu sync.Mutex
+	var deaths []string
+	a, err := NewNode(Config{
+		Self: Member{ID: "a", Addr: "127.0.0.1:1"},
+		Peers: []Member{
+			{ID: "b", Addr: "127.0.0.1:2", Inc: 1},
+			{ID: "c", Addr: "127.0.0.1:3", Inc: 1},
+			{ID: "d", Addr: "127.0.0.1:4", Inc: 1},
+		},
+		ProbeInterval: time.Hour,
+		OnDeath: func(id string) {
+			mu.Lock()
+			deaths = append(deaths, id)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	self := remote.PeerMember{ID: "a", Addr: "127.0.0.1:1", Inc: a.cfg.Self.Inc}
+	b := remote.PeerMember{ID: "b", Addr: "127.0.0.1:2", Inc: 1}
+	c2 := remote.PeerMember{ID: "c", Addr: "127.0.0.1:5", Inc: 2}
+	check := func(step string, wantDeaths int64, wantDead, wantLive []string) {
+		t.Helper()
+		if got := a.Counters().PeerDeaths; got != wantDeaths {
+			t.Fatalf("%s: %d deaths, want %d", step, got, wantDeaths)
+		}
+		st := a.Status()
+		if strings.Join(st.Dead, ",") != strings.Join(wantDead, ",") {
+			t.Fatalf("%s: dead = %v, want %v", step, st.Dead, wantDead)
+		}
+		var live []string
+		for _, m := range a.LiveMembers() {
+			live = append(live, m.ID)
+		}
+		if strings.Join(live, ",") != strings.Join(wantLive, ",") {
+			t.Fatalf("%s: live = %v, want %v", step, live, wantLive)
+		}
+	}
+
+	a.markDead("c") // a's own prober finds c's first incarnation dead
+	check("probe death", 1, []string{"c"}, []string{"a", "b", "d"})
+	a.mergeView(remote.PeerView{From: "c", Version: 1, Members: []remote.PeerMember{self, c2}})
+	check("rejoin", 1, nil, []string{"a", "b", "c", "d"})
+	a.mergeView(remote.PeerView{
+		From: "b", Version: a.Version() + 3,
+		Members: []remote.PeerMember{self, b},
+		Dead:    []remote.PeerMember{{ID: "c", Inc: 1}, {ID: "d", Inc: 1}},
+	})
+	check("newer view", 2, []string{"d"}, []string{"a", "b"})
+	a.mergeView(remote.PeerView{From: "c", Version: 1, Members: []remote.PeerMember{self, c2}})
+	check("gossip back", 2, []string{"d"}, []string{"a", "b", "c"})
+	a.mergeView(remote.PeerView{
+		From: "b", Version: a.Version() + 1,
+		Members: []remote.PeerMember{self, b},
+		Dead:    []remote.PeerMember{{ID: "c", Inc: 2}, {ID: "d", Inc: 1}},
+	})
+	check("new incarnation dies", 3, []string{"c", "d"}, []string{"a", "b"})
+
+	waitFor(t, 5*time.Second, "OnDeath calls", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(deaths) == 3
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	sort.Strings(deaths) // each hook runs on its own goroutine
+	if got := strings.Join(deaths, ","); got != "c,c,d" {
+		t.Fatalf("OnDeath calls = %v, want c twice and d once", deaths)
 	}
 }
 

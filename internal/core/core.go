@@ -52,8 +52,9 @@ type Options struct {
 	Seed int64
 	// DecodeCacheBytes enables a per-node cache of decoded CRS blocks
 	// (0 = off). The storage layer faithfully holds raw encoded bytes;
-	// without a cache every multiply re-decodes its block, which makes
-	// fine task splitting pay the decode cost once per sub-task.
+	// without a cache every multiply verifies its block in place in its
+	// read lease (CRC and structure checks, no copy for V1), which makes
+	// fine task splitting pay that check once per sub-task.
 	DecodeCacheBytes int64
 	// Eviction selects the storage reclamation policy (default LRU, the
 	// paper's; the eviction ablation sweeps FIFO and MRU).

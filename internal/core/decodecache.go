@@ -9,11 +9,13 @@ import (
 )
 
 // decodeCache memoizes CRS decoding per node. The storage layer holds raw
-// encoded bytes (faithful to the paper's untyped arrays); every task that
-// multiplies with a block must otherwise decode it again. Matrix arrays are
-// immutable, so a decoded copy keyed by array name is always valid; the
-// cache is LRU-bounded and counts its own bytes separately from the storage
-// budget (enable via Options.DecodeCacheBytes).
+// encoded bytes (faithful to the paper's untyped arrays); without the cache
+// every task that multiplies with a block verifies it again in its lease
+// (and decompresses it again, for V2). Matrix arrays are immutable, so a
+// decoded copy keyed by array name is always valid; entries are owned
+// copies that never alias lease bytes. The cache is LRU-bounded and counts
+// its own bytes separately from the storage budget (enable via
+// Options.DecodeCacheBytes).
 type decodeCache struct {
 	mu      sync.Mutex
 	cap     int64

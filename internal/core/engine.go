@@ -26,6 +26,7 @@ type ExecContext struct {
 	cache   *decodeCache
 	pool    *sparse.Pool
 	pipe    *decodePipeline
+	kern    *kernelMetrics
 	scratch execScratch
 
 	mu     sync.Mutex
@@ -68,15 +69,39 @@ func (c *ExecContext) reset(t *dag.Task) {
 	c.mu.Unlock()
 }
 
-// Matrix returns the decoded CRS block stored in `array`, consulting the
-// node's decode cache when Options.DecodeCacheBytes enabled one. Under
-// RunSpec.DecodeAhead the request also consults the node's decode pipeline,
-// waiting on an in-flight background decode instead of duplicating it.
-func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
+// Matrix returns the CRS block stored in `array` and a release func the
+// caller must call (never nil) once the kernel is done with the block.
+//
+// Without a decode cache the block is a verified view over a tracked read
+// lease: the matrix aliases the lease bytes and is valid only until release
+// drops the lease. With Options.DecodeCacheBytes set (or where views cannot
+// alias, as in the doocdebug build) the block is an owned decoded copy,
+// from the node's decode cache or, under RunSpec.DecodeAhead, its decode
+// pipeline, and release does nothing.
+func (c *ExecContext) Matrix(array string) (*sparse.CSR, func(), error) {
 	if c.pipe != nil {
-		return c.pipe.matrix(c.Store, array)
+		m, err := c.pipe.matrix(c.Store, array)
+		return m, func() {}, err
 	}
-	return c.cache.matrix(c.Store, array)
+	if c.cache != nil || !storage.ZeroCopyViews() {
+		m, err := c.cache.matrix(c.Store, array)
+		return m, func() {}, err
+	}
+	lease, err := c.RequestBlock(array, 0, storage.PermRead)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, inPlace, err := sparse.ViewCRSBytes(lease.Data)
+	if err != nil {
+		lease.Release()
+		return nil, nil, err
+	}
+	if inPlace {
+		c.kern.viewAlias.Inc()
+	} else {
+		c.kern.viewCopy.Inc()
+	}
+	return m, lease.Release, nil
 }
 
 // Pool returns the computing filter's persistent kernel pool (never nil;
@@ -439,6 +464,7 @@ func (r *engineRun) worker(node, lane int) {
 		Store:   store,
 		cache:   cache,
 		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
+		kern:    &r.sys.kernObs,
 	}
 	if r.spec.DecodeAhead {
 		ctx.pipe = r.sys.pipes[node]

@@ -8,6 +8,7 @@ import (
 
 	"dooc/internal/obs"
 	"dooc/internal/sparse"
+	"dooc/internal/storage"
 )
 
 // obsSeriesValue extracts one labeled series value from a snapshot; node < 0
@@ -248,5 +249,112 @@ func TestObsCountsNodeDeathRecovery(t *testing.T) {
 	}
 	if done := obsSeriesValue(reg.Snapshot(), "dooc_engine_tasks_completed_total", 2); done != 0 {
 		t.Errorf("dead node 2 completed %d tasks", done)
+	}
+}
+
+// TestObsReconcilesMatrixViews checks the uncached multiply path: every
+// multiply touch takes exactly one lease-held matrix view, counted once as
+// alias or copy. A freshly staged V1 matrix aliases every section in place
+// (copy == 0), in memory and when blocks are reloaded from disk under a
+// tight budget; a V2 matrix is decompressed, so every view is a copy. The
+// doocdebug build cannot alias, so its executors take the owned decode and
+// count no views.
+func TestObsReconcilesMatrixViews(t *testing.T) {
+	const dim = 60
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 3, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pad that keeps odd-nnz values aligned must be exercised.
+	p, err := SpMVConfig{Dim: dim, K: 3, Nodes: 2}.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := 0
+	for u := 0; u < 3; u++ {
+		for v := 0; v < 3; v++ {
+			b, err := sparse.Block(m, p, u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			odd += int(b.NNZ() % 2)
+		}
+	}
+	if odd == 0 {
+		t.Fatal("no odd-nnz block in the test matrix")
+	}
+	cases := []struct {
+		name    string
+		ways    int
+		stage   func(root string, m *sparse.CSR, cfg SpMVConfig) error // nil: in memory
+		budget  int64
+		allCopy bool
+	}{
+		{name: "memory", ways: 1},
+		{name: "memory-split", ways: 2},
+		{name: "disk-reload", ways: 1, stage: StageMatrix, budget: 8 << 10},
+		{name: "disk-v2", ways: 1, stage: StageMatrixCompressed, budget: 8 << 10, allCopy: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SpMVConfig{Dim: dim, K: 3, Iters: 3, Nodes: 2, SplitWays: tc.ways}
+			opts := Options{Nodes: 2, WorkersPerNode: 2, Reorder: true, Obs: obs.NewRegistry()}
+			if tc.stage != nil {
+				opts.ScratchRoot = t.TempDir()
+				opts.MemoryBudget = tc.budget
+				if err := tc.stage(opts.ScratchRoot, m, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys, err := NewSystem(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if tc.stage == nil {
+				if err := LoadMatrixInMemory(sys, m, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			x0 := randVec(rand.New(rand.NewSource(2)), dim)
+			res, err := RunIteratedSpMV(sys, cfg, x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(res.X, referenceIterate(m, x0, cfg.Iters)); d > 1e-9 {
+				t.Fatalf("result diverges from in-core reference by %v", d)
+			}
+			var touches int64
+			for _, ev := range res.Stats.Events {
+				if ev.Kind == "multiply" || ev.Kind == "multiply-part" {
+					touches++
+				}
+			}
+			if want := int64(cfg.Iters * cfg.K * cfg.K * tc.ways); touches != want {
+				t.Fatalf("%d multiply touches, want %d", touches, want)
+			}
+			reg := opts.Obs
+			alias := reg.SumWhere("dooc_kernel_matrix_views_total", "mode", "alias")
+			copied := reg.SumWhere("dooc_kernel_matrix_views_total", "mode", "copy")
+			if !storage.ZeroCopyViews() {
+				if alias+copied != 0 {
+					t.Fatalf("views counted without zero-copy support: alias=%d copy=%d", alias, copied)
+				}
+				return
+			}
+			if alias+copied != touches {
+				t.Errorf("alias(%d)+copy(%d) != multiply touches(%d)", alias, copied, touches)
+			}
+			if tc.allCopy {
+				if alias != 0 {
+					t.Errorf("V2 blocks aliased %d times, want every view a copy", alias)
+				}
+			} else if copied != 0 {
+				t.Errorf("freshly staged V1 matrix copied %d views, want 0", copied)
+			}
+			if tc.budget > 0 && res.Stats.BytesReadDisk() == 0 {
+				t.Error("tight budget never reloaded a block from disk")
+			}
+		})
 	}
 }

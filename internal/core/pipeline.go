@@ -20,6 +20,11 @@ type kernelMetrics struct {
 	pipeStalls  *obs.Counter
 	pipeWaits   *obs.Counter
 	pipeOverlap *obs.Counter
+
+	// Matrix blocks an executor multiplied straight out of its read lease:
+	// every section aliased in place, or at least one copied.
+	viewAlias *obs.Counter
+	viewCopy  *obs.Counter
 }
 
 func newKernelMetrics(reg *obs.Registry) kernelMetrics {
@@ -34,6 +39,8 @@ func newKernelMetrics(reg *obs.Registry) kernelMetrics {
 		pipeStalls:  reg.Counter("dooc_kernel_pipeline_stalls_total", "matrix requests that decoded synchronously on the compute path"),
 		pipeWaits:   reg.Counter("dooc_kernel_pipeline_waits_total", "matrix requests that blocked on an in-flight pipeline decode"),
 		pipeOverlap: reg.Counter("dooc_kernel_pipeline_overlap_total", "pipeline-decoded blocks consumed after their decode fully overlapped compute"),
+		viewAlias:   reg.Counter("dooc_kernel_matrix_views_total", "matrix blocks multiplied from their read lease", obs.L("mode", "alias")),
+		viewCopy:    reg.Counter("dooc_kernel_matrix_views_total", "matrix blocks multiplied from their read lease", obs.L("mode", "copy")),
 	}
 }
 

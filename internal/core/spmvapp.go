@@ -551,12 +551,12 @@ func SpMVExecutors() map[string]Executor {
 	}
 }
 
-// execMultiply computes xp[t][u][v] = A[u][v] * x[t-1][v]. The input vector
-// is read through a zero-copy view of its lease bytes and the result is
-// computed directly into the output write lease, so the steady-state
-// multiply moves no vector bytes outside the kernel itself. Leases are held
-// for the duration of the compute — the view contract ties view lifetime to
-// lease lifetime.
+// execMultiply computes xp[t][u][v] = A[u][v] * x[t-1][v]. The matrix
+// block and the input vector are read through zero-copy views of their
+// lease bytes and the result is computed directly into the output write
+// lease, so the steady-state multiply moves no matrix or vector bytes
+// outside the kernel itself. Leases are held for the duration of the
+// compute — the view contract ties view lifetime to lease lifetime.
 func execMultiply(ctx *ExecContext) error {
 	t := ctx.Task
 	if len(t.Inputs) != 2 || len(t.Outputs) != 1 {
@@ -564,10 +564,11 @@ func execMultiply(ctx *ExecContext) error {
 	}
 	aRef, xRef, outRef := t.Inputs[0], t.Inputs[1], t.Outputs[0]
 
-	a, err := ctx.Matrix(aRef.Array)
+	a, release, err := ctx.Matrix(aRef.Array)
 	if err != nil {
 		return fmt.Errorf("decoding %s: %w", aRef.Array, err)
 	}
+	defer release()
 
 	xLease, err := ctx.RequestBlock(xRef.Array, 0, storage.PermRead)
 	if err != nil {
@@ -611,10 +612,11 @@ func execMultiplyPart(ctx *ExecContext) error {
 		return fmt.Errorf("multiply-part task %s declares %d ways", t.ID, ways)
 	}
 
-	a, err := ctx.Matrix(aRef.Array)
+	a, release, err := ctx.Matrix(aRef.Array)
 	if err != nil {
 		return fmt.Errorf("decoding %s: %w", aRef.Array, err)
 	}
+	defer release()
 	xLease, err := ctx.RequestBlock(xRef.Array, 0, storage.PermRead)
 	if err != nil {
 		return err

@@ -25,10 +25,12 @@ import (
 // ProxyCapBit.
 const ClusterCapBit uint8 = 1 << 7
 
-// PeerMember identifies one cluster member on the wire.
+// PeerMember identifies one cluster member on the wire. Inc is the
+// member's incarnation (its process start time); 0 when unknown.
 type PeerMember struct {
 	ID   string
 	Addr string
+	Inc  uint64
 }
 
 // PeerView is a versioned membership view. Higher versions supersede
@@ -36,11 +38,14 @@ type PeerMember struct {
 // the node that observed it and gossips outward on view exchanges. From
 // identifies the sender, so a receiver that does not know the sender yet
 // can admit it (the join/rejoin path) even when the sender's view version
-// is behind.
+// is behind. Dead lists the members the sender declared dead, each with
+// the incarnation that died (Addr unset), so a receiver adopting the view
+// can tell those deaths from members that merely rejoined elsewhere.
 type PeerView struct {
 	From    string
 	Version uint64
 	Members []PeerMember
+	Dead    []PeerMember
 }
 
 // PeerHandler is the server-side cluster hook. internal/cluster.Node

@@ -397,25 +397,28 @@ func (c *conn) sendRequest(r *request) (int, error) {
 	return n, err
 }
 
-// sendResponse encodes and sends a response, returning the payload's wire
-// length.
-func (c *conn) sendResponse(r *response) (int, error) {
+// sendResponse encodes and sends a response. It calls account exactly once
+// with the payload's wire length (0 when the send is dropped) before the
+// response is written, so whatever account records is visible by the time
+// the peer can see the reply.
+func (c *conn) sendResponse(r *response, account func(n int)) error {
 	out := *r
 	var fbuf *[]byte
 	out.Data, out.Enc, fbuf = c.encodePayload(r.Data)
 	out.Sum = payloadSum(out.Data)
 	if c.faults.Drop() {
 		putFrame(fbuf)
+		account(0)
 		c.raw.Close()
-		return 0, fmt.Errorf("remote: send response: %w: connection dropped", faults.ErrInjected)
+		return fmt.Errorf("remote: send response: %w: connection dropped", faults.ErrInjected)
 	}
 	out.Data = c.corruptCopy(out.Data)
-	n := len(out.Data)
+	account(len(out.Data))
 	c.mu.Lock()
 	err := c.enc.Encode(&out)
 	c.mu.Unlock()
 	putFrame(fbuf)
-	return n, err
+	return err
 }
 
 func (c *conn) close() error { return c.raw.Close() }

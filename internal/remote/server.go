@@ -249,10 +249,9 @@ func (s *Server) handleConn(c *conn) {
 		s.active.Add(1)
 		s.metrics.active.Add(1)
 		go func(req request) {
-			defer func() {
-				s.active.Add(-1)
-				s.metrics.active.Add(-1)
-			}()
+			// s.active is the drain counter Shutdown waits on, so it drops
+			// only once the reply is fully written (or the send failed).
+			defer s.active.Add(-1)
 			var resp *response
 			if err := verifyRequest(&req); err != nil {
 				// A corrupted payload must never reach the store: reject it
@@ -275,11 +274,15 @@ func (s *Server) handleConn(c *conn) {
 				resp = s.dispatch(&req)
 			}
 			resp.ID = req.ID
-			// A failed send means the connection died; the decode loop will
-			// notice and tear down.
-			n, _ := c.sendResponse(resp)
-			s.bytesOut.Add(int64(n))
-			s.metrics.bytesOut.Add(int64(n))
+			// The reply's bytes and the exported active gauge are accounted
+			// before it is written: a client holding the reply may read the
+			// metrics at once. A failed send means the connection died; the
+			// decode loop will notice and tear down.
+			_ = c.sendResponse(resp, func(n int) {
+				s.bytesOut.Add(int64(n))
+				s.metrics.bytesOut.Add(int64(n))
+				s.metrics.active.Add(-1)
+			})
 		}(req)
 	}
 }

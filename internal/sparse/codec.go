@@ -24,25 +24,36 @@ import (
 //	24      8     nnz   (int64)
 //	32      8*(rows+1)  row pointers (int64)
 //	...     4*nnz       column indices (int32)
+//	...     4*(nnz%2)   zero pad, so the values start 8-byte aligned
 //	...     8*nnz       values (float64)
-//	last    4     CRC32 (Castagnoli) of everything before it
+//	last    4     CRC32 (Castagnoli) of everything before it, pad included
+//
+// Every section starts at a multiple of its element size from the start of
+// the file, so a block held in an aligned buffer (a storage lease) can be
+// multiplied in place (ViewCRSBytes). The pad must be zero; a file written
+// before the pad existed fails the exact-length check with an error asking
+// for the matrix to be restaged.
 const crsMagic = "DOOCCRS1"
 
 // HeaderBytes is the size of the fixed CRS header.
 const HeaderBytes = 32
 
 // FileBytes returns the exact on-disk size of a CRS file with the given
-// shape, including header and trailing CRC.
+// shape, including header, alignment pad and trailing CRC.
 func FileBytes(rows int, nnz int64) int64 {
-	return HeaderBytes + 8*int64(rows+1) + 12*nnz + 4
+	return HeaderBytes + 8*int64(rows+1) + 12*nnz + valuePad(nnz) + 4
 }
+
+// valuePad is the number of zero bytes between the column indices and the
+// values: 4 when nnz is odd, so the values stay 8-byte aligned.
+func valuePad(nnz int64) int64 { return 4 * (nnz % 2) }
 
 // WriteCRS writes m to w in binary CRS format.
 func WriteCRS(w io.Writer, m *CSR) error {
 	if err := m.Validate(); err != nil {
 		return fmt.Errorf("sparse: refusing to write invalid matrix: %w", err)
 	}
-	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	crc := crc32.New(crsCRCTable)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
 	if _, err := bw.WriteString(crsMagic); err != nil {
 		return err
@@ -75,6 +86,10 @@ func WriteCRS(w io.Writer, m *CSR) error {
 			return err
 		}
 	}
+	var pad [4]byte
+	if _, err := bw.Write(pad[:valuePad(m.NNZ())]); err != nil {
+		return err
+	}
 	for off := 0; off < len(m.Val); off += slabElems {
 		end := min(off+slabElems, len(m.Val))
 		for i, v := range m.Val[off:end] {
@@ -94,90 +109,35 @@ func WriteCRS(w io.Writer, m *CSR) error {
 	return err
 }
 
-// ReadCRS reads a binary CRS matrix from r, verifying structure and CRC.
-//
-// The CRC is computed over exactly the bytes consumed before the trailing
-// checksum (a bufio read-ahead must not contaminate the sum, so we hash the
-// bytes explicitly rather than tee the underlying reader).
+// ReadCRS reads a binary CRS matrix (V1 or V2) from r, verifying structure
+// and CRC. It reads r to the end and decodes the bytes in memory; the
+// returned matrix owns that buffer, so V1 sections need no second copy. A
+// reader that reports its remaining length (bytes.Reader, strings.Reader,
+// bytes.Buffer) is read into a buffer of exactly that size.
 func ReadCRS(r io.Reader) (*CSR, error) {
-	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, HeaderBytes)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("sparse: short CRS header: %w", err)
+	size := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = int64(l.Len())
 	}
-	crc.Write(hdr)
-	switch string(hdr[:8]) {
-	case crsMagic:
-	case crsMagicV2:
-		return readCRS2(br, crc, hdr)
-	default:
-		return nil, fmt.Errorf("sparse: bad CRS magic %q", hdr[:8])
+	return readCRSSized(r, size)
+}
+
+// readCRSSized is ReadCRS with the input's length known up front (size >=
+// 0: exactly size bytes are read) or not (size < 0: r is read to EOF).
+func readCRSSized(r io.Reader, size int64) (*CSR, error) {
+	var data []byte
+	var err error
+	if size < 0 {
+		data, err = io.ReadAll(r)
+	} else {
+		data = make([]byte, size)
+		_, err = io.ReadFull(r, data)
 	}
-	rows := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	cols := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	nnz := int64(binary.LittleEndian.Uint64(hdr[24:]))
-	const maxDim = 1 << 40
-	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim || nnz > maxDim {
-		return nil, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
+	if err != nil {
+		return nil, fmt.Errorf("sparse: reading CRS: %w", err)
 	}
-	m := &CSR{
-		Rows:   int(rows),
-		Cols:   int(cols),
-		RowPtr: make([]int64, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
-	}
-	// Decode in slabs; each slab is hashed after the read so the CRC covers
-	// exactly the consumed payload.
-	const slabElems = 64 << 10
-	slab := make([]byte, 8*slabElems)
-	for off := 0; off < len(m.RowPtr); off += slabElems {
-		end := min(off+slabElems, len(m.RowPtr))
-		chunk := slab[:8*(end-off)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("sparse: short row pointers: %w", err)
-		}
-		crc.Write(chunk)
-		for i := off; i < end; i++ {
-			m.RowPtr[i] = int64(binary.LittleEndian.Uint64(chunk[8*(i-off):]))
-		}
-	}
-	for off := 0; off < len(m.ColIdx); off += slabElems {
-		end := min(off+slabElems, len(m.ColIdx))
-		chunk := slab[:4*(end-off)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("sparse: short column indices: %w", err)
-		}
-		crc.Write(chunk)
-		for i := off; i < end; i++ {
-			m.ColIdx[i] = int32(binary.LittleEndian.Uint32(chunk[4*(i-off):]))
-		}
-	}
-	for off := 0; off < len(m.Val); off += slabElems {
-		end := min(off+slabElems, len(m.Val))
-		chunk := slab[:8*(end-off)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("sparse: short values: %w", err)
-		}
-		crc.Write(chunk)
-		for i := off; i < end; i++ {
-			m.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*(i-off):]))
-		}
-	}
-	want := crc.Sum32()
-	crcBytes := make([]byte, 4)
-	if _, err := io.ReadFull(br, crcBytes); err != nil {
-		return nil, fmt.Errorf("sparse: missing CRS checksum: %w", err)
-	}
-	got := binary.LittleEndian.Uint32(crcBytes)
-	if got != want {
-		return nil, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", got, want)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("sparse: invalid CRS payload: %w", err)
-	}
-	return m, nil
+	m, _, err := ViewCRSBytes(data)
+	return m, err
 }
 
 // WriteCRSFile writes m to path atomically (via a temp file + rename).
@@ -199,14 +159,19 @@ func WriteCRSFile(path string, m *CSR) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadCRSFile reads a binary CRS matrix from path.
+// ReadCRSFile reads a binary CRS matrix from path into a buffer of the
+// file's size, which the returned matrix owns.
 func ReadCRSFile(path string) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	m, err := ReadCRS(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	m, err := readCRSSized(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
