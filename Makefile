@@ -15,13 +15,15 @@ test:
 race:
 	$(GO) test -race ./internal/obs/ ./internal/storage/ ./internal/core/ ./internal/datacutter/ ./internal/simnet/ ./internal/mfdn/ ./internal/bfs/ ./internal/remote/ ./internal/scheduler/ ./internal/faults/ ./internal/compress/ ./internal/jobs/ ./internal/jobstore/ ./internal/cluster/ ./internal/proxy/ ./internal/sparse/ ./internal/lanczos/
 
-# Short fuzz pass over every codec round trip, the frame decoder and the CRS
-# matrix decoders.
+# Short fuzz pass over every codec round trip, the frame decoder, the CRS
+# matrix decoders and the Matrix Market reader.
 fuzz:
 	for target in FuzzRawRoundTrip FuzzDeltaVarint64RoundTrip FuzzDeltaVarint32RoundTrip FuzzFloatShuffleRoundTrip FuzzLZDecode FuzzDecodeFrame; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/compress/ || exit 1; \
 	done
-	$(GO) test -run '^FuzzReadCRS$$' -fuzz '^FuzzReadCRS$$' -fuzztime 10s ./internal/sparse/
+	for target in FuzzReadCRS FuzzReadMatrixMarket; do \
+		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/sparse/ || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

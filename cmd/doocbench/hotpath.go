@@ -108,21 +108,21 @@ func hotpathRun() error {
 		return err
 	}
 	blockBytes := info.Bytes / int64(k*k)
-	// Decoded blocks are ~the same size as their encoded frames; five slots
-	// per node keep every block of the node's row stripe decoded after the
-	// first sweep, so steady-state iterations touch only resident CSR and
-	// the pipeline exists purely to absorb the cold-start decodes.
+	// The memory budget is the real experiment's two and a half blocks plus
+	// five decoded-block-sized slots, which keeps the total memory of every
+	// earlier BENCH_hotpath.json capture so the trajectory stays comparable.
+	// Blocks are multiplied in place from their storage lease, so the whole
+	// budget is the storage layer's to hold and reclaim by LRU.
 	decodedBlock := m.Bytes()/int64(k*k) + 1<<14
 	sys, err := core.NewSystem(core.Options{
-		Nodes:            nodes,
-		WorkersPerNode:   1,
-		MemoryBudget:     blockBytes*5/2 + 1<<16,
-		ScratchRoot:      root,
-		PrefetchWindow:   2,
-		Reorder:          true,
-		DecodeCacheBytes: 5 * decodedBlock,
-		Obs:              benchObs,
-		Trace:            benchTrace,
+		Nodes:          nodes,
+		WorkersPerNode: 1,
+		MemoryBudget:   blockBytes*5/2 + 1<<16 + 5*decodedBlock,
+		ScratchRoot:    root,
+		PrefetchWindow: 2,
+		Reorder:        true,
+		Obs:            benchObs,
+		Trace:          benchTrace,
 	})
 	if err != nil {
 		return err
@@ -199,10 +199,9 @@ func hotpathRun() error {
 	fmt.Printf("  GC cycles %d   GC pause total %v   zero-copy views %v\n",
 		rep.NumGC, time.Duration(rep.GCPauseNs), rep.ZeroCopyViews)
 	fmt.Printf("  result sha256 %s (bit-identical across %d runs)\n", refSum, runs+1)
-	km := benchObs.Totals()
-	fmt.Printf("  pipeline decodes %d   stalls %d   waits %d   overlap %d\n",
-		km["dooc_kernel_pipeline_decodes_total"], km["dooc_kernel_pipeline_stalls_total"],
-		km["dooc_kernel_pipeline_waits_total"], km["dooc_kernel_pipeline_overlap_total"])
+	fmt.Printf("  matrix views alias %d   copy %d\n",
+		benchObs.SumWhere("dooc_kernel_matrix_views_total", "mode", "alias"),
+		benchObs.SumWhere("dooc_kernel_matrix_views_total", "mode", "copy"))
 
 	roofline, err := rooflineSweep(dim)
 	if err != nil {

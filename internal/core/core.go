@@ -50,12 +50,6 @@ type Options struct {
 	IOWorkers int
 	// Seed makes random-peer probing deterministic.
 	Seed int64
-	// DecodeCacheBytes enables a per-node cache of decoded CRS blocks
-	// (0 = off). The storage layer faithfully holds raw encoded bytes;
-	// without a cache every multiply verifies its block in place in its
-	// read lease (CRC and structure checks, no copy for V1), which makes
-	// fine task splitting pay that check once per sub-task.
-	DecodeCacheBytes int64
 	// Eviction selects the storage reclamation policy (default LRU, the
 	// paper's; the eviction ablation sweeps FIFO and MRU).
 	Eviction storage.EvictionPolicy
@@ -110,13 +104,10 @@ type System struct {
 	opts    Options
 	cluster *simnet.Cluster
 	stores  []*storage.Store
-	decode  []*decodeCache // per node; nil entries when disabled
 
 	// Kernel layer: one persistent stripe pool per computing filter (indexed
-	// node*WorkersPerNode+lane, started once and parked between multiplies)
-	// and one decode pipeline per node (only when the decode cache is on).
+	// node*WorkersPerNode+lane, started once and parked between multiplies).
 	kern    []*sparse.Pool
-	pipes   []*decodePipeline
 	kernObs kernelMetrics
 
 	// Failure registry. FailNode marks a node dead: active runs stop its
@@ -160,18 +151,6 @@ func NewSystem(opts Options) (*System, error) {
 		failedNodes: make(map[int]bool),
 	}
 	sys.kernObs = newKernelMetrics(opts.Obs)
-	sys.decode = make([]*decodeCache, opts.Nodes)
-	sys.pipes = make([]*decodePipeline, opts.Nodes)
-	for i := range sys.decode {
-		c := newDecodeCache(opts.DecodeCacheBytes)
-		sys.decode[i] = c
-		if c != nil {
-			c.obsHits = sys.nodeCounter("dooc_core_decode_cache_hits_total", "decoded-block cache hits", i)
-			c.obsMisses = sys.nodeCounter("dooc_core_decode_cache_misses_total", "decoded-block cache misses (synchronous decodes)", i)
-			c.obsOverlap = sys.kernObs.pipeOverlap
-			sys.pipes[i] = newDecodePipeline(stores[i], c, sys.kernObs)
-		}
-	}
 	sys.kern = make([]*sparse.Pool, opts.Nodes*opts.WorkersPerNode)
 	for i := range sys.kern {
 		p := sparse.NewPool(opts.WorkersPerNode)
@@ -181,12 +160,6 @@ func NewSystem(opts Options) (*System, error) {
 		sys.kern[i] = p
 	}
 	return sys, nil
-}
-
-// nodeCounter registers a per-node counter on the system registry (nil when
-// observability is off).
-func (s *System) nodeCounter(name, help string, node int) *obs.Counter {
-	return s.opts.Obs.Counter(name, help, obs.L("node", fmt.Sprint(node)))
 }
 
 // Nodes returns the cluster size.
@@ -239,12 +212,8 @@ func (s *System) FailedNodes() []int {
 	return out
 }
 
-// Close shuts all nodes down: decode pipelines first (they read through
-// storage), then the kernel pools, then the storage filters.
+// Close shuts all nodes down: the kernel pools, then the storage filters.
 func (s *System) Close() {
-	for _, p := range s.pipes {
-		p.close()
-	}
 	for _, p := range s.kern {
 		p.Close()
 	}

@@ -23,14 +23,39 @@ type ExecContext struct {
 	Store   *storage.Store
 	Task    *dag.Task
 
-	cache   *decodeCache
 	pool    *sparse.Pool
-	pipe    *decodePipeline
 	kern    *kernelMetrics
 	scratch execScratch
 
 	mu     sync.Mutex
 	leases []*storage.Lease
+}
+
+// kernelMetrics are the dooc_kernel_* series: kernel-layer dispatch counts
+// and the matrix-view counts of ExecContext.Matrix. All counters are
+// nil-safe, so a System without a registry pays nothing.
+type kernelMetrics struct {
+	fused   *obs.Counter
+	blocked *obs.Counter
+	scalar  *obs.Counter
+
+	// Matrix blocks an executor multiplied straight out of its read lease:
+	// every section aliased in place, or at least one copied.
+	viewAlias *obs.Counter
+	viewCopy  *obs.Counter
+}
+
+func newKernelMetrics(reg *obs.Registry) kernelMetrics {
+	if reg == nil {
+		return kernelMetrics{}
+	}
+	return kernelMetrics{
+		fused:     reg.Counter("dooc_kernel_fused_calls_total", "fused SpMV+AXPY/dot kernel invocations"),
+		blocked:   reg.Counter("dooc_kernel_blocked_dispatch_total", "SpMV dispatches taking the cache-blocked traversal"),
+		scalar:    reg.Counter("dooc_kernel_scalar_dispatch_total", "SpMV dispatches taking the row-serial traversal"),
+		viewAlias: reg.Counter("dooc_kernel_matrix_views_total", "matrix blocks multiplied from their read lease", obs.L("mode", "alias")),
+		viewCopy:  reg.Counter("dooc_kernel_matrix_views_total", "matrix blocks multiplied from their read lease", obs.L("mode", "copy")),
+	}
 }
 
 // execScratch holds one worker's reusable buffers. Executors that cannot
@@ -72,24 +97,19 @@ func (c *ExecContext) reset(t *dag.Task) {
 // Matrix returns the CRS block stored in `array` and a release func the
 // caller must call (never nil) once the kernel is done with the block.
 //
-// Without a decode cache the block is a verified view over a tracked read
-// lease: the matrix aliases the lease bytes and is valid only until release
-// drops the lease. With Options.DecodeCacheBytes set (or where views cannot
-// alias, as in the doocdebug build) the block is an owned decoded copy,
-// from the node's decode cache or, under RunSpec.DecodeAhead, its decode
-// pipeline, and release does nothing.
+// The block is a verified view over a tracked read lease: the matrix
+// aliases the lease bytes and is valid only until release drops the lease.
+// Where views cannot alias (the doocdebug build) the block is an owned
+// decoded copy, the lease is dropped at once, and release does nothing.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, func(), error) {
-	if c.pipe != nil {
-		m, err := c.pipe.matrix(c.Store, array)
-		return m, func() {}, err
-	}
-	if c.cache != nil || !storage.ZeroCopyViews() {
-		m, err := c.cache.matrix(c.Store, array)
-		return m, func() {}, err
-	}
 	lease, err := c.RequestBlock(array, 0, storage.PermRead)
 	if err != nil {
 		return nil, nil, err
+	}
+	if !storage.ZeroCopyViews() {
+		m, err := sparse.DecodeCRSBytes(lease.Data)
+		lease.Release()
+		return m, func() {}, err
 	}
 	m, inPlace, err := sparse.ViewCRSBytes(lease.Data)
 	if err != nil {
@@ -189,12 +209,6 @@ type RunSpec struct {
 	// IterOf maps a task ID to its iteration index; tasks it recognizes
 	// parent under a per-iteration span instead of directly under Span.
 	IterOf func(taskID string) (int, bool)
-	// DecodeAhead routes the prefetch order into the node decode pipelines,
-	// so heavy blocks are codec-decoded and CSR-materialized concurrently
-	// with compute. Only set it for programs whose heavy refs are CRS blocks
-	// (the SpMV family); requires Options.DecodeCacheBytes > 0 to have any
-	// effect.
-	DecodeAhead bool
 }
 
 // Run executes the program to completion and returns statistics.
@@ -259,11 +273,6 @@ func (s *System) Run(spec RunSpec) (*RunStats, error) {
 		p.Picks = s.opts.Obs.Counter("dooc_sched_picks_total", "local-scheduler task selections", node)
 		p.Reorders = s.opts.Obs.Counter("dooc_sched_reorders_total", "picks where the data-aware score overrode FIFO order", node)
 		p.PrefetchRefs = s.opts.Obs.Counter("dooc_sched_prefetch_refs_total", "data refs handed to the prefetcher", node)
-		if c := s.decode[i]; c != nil {
-			// Blocks already decoded past the storage tier never burn a
-			// prefetch-window slot.
-			p.Decoded = c.peek
-		}
 		run.policies[i] = p
 	}
 	run.cond = sync.NewCond(&run.mu)
@@ -457,17 +466,12 @@ func (r *engineRun) taskParent(taskID string, start, end time.Time) obs.SpanID {
 // lane identifies the worker within its node (the trace's tid).
 func (r *engineRun) worker(node, lane int) {
 	store := r.sys.stores[node]
-	cache := r.sys.decode[node]
 	ctx := &ExecContext{
 		Node:    node,
 		Workers: r.sys.opts.WorkersPerNode,
 		Store:   store,
-		cache:   cache,
 		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
 		kern:    &r.sys.kernObs,
-	}
-	if r.spec.DecodeAhead {
-		ctx.pipe = r.sys.pipes[node]
 	}
 	var deadScratch []string
 	for {
@@ -483,22 +487,17 @@ func (r *engineRun) worker(node, lane int) {
 			if len(mine) > 0 {
 				// Residency snapshot for the pick. The map call leaves the
 				// lock briefly cold but keeps decisions fresh; the snapshot
-				// is recycled as soon as the pick is made. A block living only
-				// in the decode cache counts as resident: the multiply that
-				// consumes it touches no storage bytes.
+				// is recycled as soon as the pick is made.
 				rm := store.Map()
 				resident := func(ref dag.Ref) bool {
-					return cache.peek(ref.Array) || rm.Resident(ref.Array, blockOrZero(ref))
+					return rm.Resident(ref.Array, blockOrZero(ref))
 				}
 				task = r.policies[node].Pick(mine, resident)
 				// Keep the prefetch window full with the runner-up tasks'
-				// heavy data; the decode pipeline rides the same order, and
-				// blocks it already holds decoded skip the storage prefetch.
+				// heavy data.
 				if w := r.sys.opts.PrefetchWindow; w > 0 {
 					for _, ref := range r.policies[node].PrefetchTargets(mine, resident, w) {
-						if ctx.pipe.wants(ref.Array) {
-							store.PrefetchBlock(ref.Array, blockOrZero(ref))
-						}
+						store.PrefetchBlock(ref.Array, blockOrZero(ref))
 					}
 				}
 				store.RecycleMap(rm)
@@ -559,7 +558,6 @@ func (r *engineRun) worker(node, lane int) {
 
 		// Reclaim dead ephemeral arrays outside the lock.
 		for _, name := range dead {
-			r.sys.decode[node].invalidate(name)
 			// Deletion failures (e.g. a concurrent late reader) are not
 			// fatal; the array simply lives a little longer.
 			_ = store.Delete(name)

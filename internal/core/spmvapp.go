@@ -270,9 +270,6 @@ func DeleteSpMVArraysKeep(sys *System, cfg SpMVConfig, keep func(name string) bo
 		if keep != nil && keep(name) {
 			return
 		}
-		for node := range sys.decode {
-			sys.decode[node].invalidate(name)
-		}
 		_ = owner.Delete(name)
 	}
 	for u := 0; u < cfg.K; u++ {
@@ -332,13 +329,9 @@ func CollectIterate(sys *System, cfg SpMVConfig, t int) ([]float64, error) {
 	return x, nil
 }
 
-// DropArray removes one named array from whichever store holds it,
-// invalidating decode caches first. Best-effort — the proxy registry's
-// reclaim hook.
+// DropArray removes one named array from whichever store holds it.
+// Best-effort — the proxy registry's reclaim hook.
 func DropArray(sys *System, name string) {
-	for node := range sys.decode {
-		sys.decode[node].invalidate(name)
-	}
 	for node := 0; node < sys.Nodes(); node++ {
 		if sys.Store(node).Delete(name) == nil {
 			return
@@ -474,9 +467,6 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 		Ephemeral:  ephemeral,
 		Cancel:     opts.cancel,
 		Span:       cfg.Trace,
-		// Every heavy ref in the SpMV program is a CRS block: let the node
-		// decode pipelines materialize them concurrently with compute.
-		DecodeAhead: true,
 	}
 	if cfg.Trace.Valid() {
 		// Task IDs carry segment-relative iteration indices; the base shift

@@ -23,6 +23,53 @@ func wirePayload(n int) []byte {
 	return out
 }
 
+// TestParseHello covers the hello validator: a frame of the wrong length,
+// marker or magic is malformed, and a version other than protoVersion is
+// refused; only a well-formed current hello yields its mask and codec.
+func TestParseHello(t *testing.T) {
+	withVersion := func(v byte) []byte {
+		b := helloFrame(0x05, 0x02)
+		b[5] = v
+		return b
+	}
+	badMagic := helloFrame(0x05, 0x02)
+	badMagic[3] = 'X'
+	badMarker := helloFrame(0x05, 0x02)
+	badMarker[0] = 0x01
+	cases := []struct {
+		name string
+		b    []byte
+		ok   bool
+	}{
+		{"empty", nil, false},
+		{"short", helloFrame(0x05, 0x02)[:helloLen-1], false},
+		{"long", append(helloFrame(0x05, 0x02), 0), false},
+		{"bad-marker", badMarker, false},
+		{"bad-magic", badMagic, false},
+		{"v0", withVersion(0), false},
+		{"v2", withVersion(2), false},
+		{"v255", withVersion(255), false},
+		{"v1", withVersion(1), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mask, pref, err := parseHello(tc.b)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("parseHello(% x) accepted, want an error", tc.b)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parseHello(% x): %v", tc.b, err)
+			}
+			if mask != 0x05 || pref != 0x02 {
+				t.Fatalf("mask=%#x pref=%#x, want 0x5/0x2", mask, pref)
+			}
+		})
+	}
+}
+
 // startCodecServer wires a codec-configured server and client over a local
 // store, with a shared registry when reg is non-nil.
 func startCodecServer(t *testing.T, reg *obs.Registry, srvOpts ServerOptions, clOpts Options) (*Server, *Client) {

@@ -215,14 +215,15 @@ func helloFrame(mask, pref uint8) []byte {
 }
 
 // parseHello validates a received hello and extracts the peer's capability
-// mask and preferred codec.
+// mask and preferred codec. A peer announcing any protocol version other
+// than this build's is refused: its frames cannot be read as ours.
 func parseHello(b []byte) (mask, pref uint8, err error) {
 	if len(b) != helloLen || b[0] != helloByte ||
 		b[1] != helloMagic[0] || b[2] != helloMagic[1] || b[3] != helloMagic[2] || b[4] != helloMagic[3] {
 		return 0, 0, fmt.Errorf("remote: malformed handshake hello % x", b)
 	}
-	if b[5] < 1 {
-		return 0, 0, fmt.Errorf("remote: handshake protocol version %d", b[5])
+	if b[5] != protoVersion {
+		return 0, 0, fmt.Errorf("remote: handshake protocol version %d, this build speaks %d", b[5], protoVersion)
 	}
 	return b[6], b[7], nil
 }
