@@ -16,7 +16,7 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/storage/ ./internal/core/ ./internal/datacutter/ ./internal/simnet/ ./internal/mfdn/ ./internal/bfs/ ./internal/remote/ ./internal/scheduler/ ./internal/faults/ ./internal/compress/ ./internal/jobs/ ./internal/jobstore/ ./internal/cluster/ ./internal/proxy/ ./internal/sparse/ ./internal/lanczos/
 
 # Short fuzz pass over every codec round trip, the frame decoder, the CRS
-# matrix decoders and the Matrix Market reader.
+# matrix decoders, the Matrix Market reader and the job-journal replay.
 fuzz:
 	for target in FuzzRawRoundTrip FuzzDeltaVarint64RoundTrip FuzzDeltaVarint32RoundTrip FuzzFloatShuffleRoundTrip FuzzLZDecode FuzzDecodeFrame; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/compress/ || exit 1; \
@@ -24,6 +24,7 @@ fuzz:
 	for target in FuzzReadCRS FuzzReadMatrixMarket; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/sparse/ || exit 1; \
 	done
+	$(GO) test -run '^FuzzReplayWAL$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/jobstore/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -12,7 +12,7 @@
 //     fraction (~1/N on a single join or leave);
 //   - node.go is the per-process runtime: a versioned membership view
 //     gossiped over peer-view exchanges, a lazily dialed pool of
-//     compress-negotiated remote clients, a prober that detects peer
+//     codec-configured remote clients, a prober that detects peer
 //     death, and the owner-aware forwarding used by the storage layer
 //     (storage.ShardBackend);
 //   - table.go holds the blocks this peer stores on behalf of the ring —
@@ -32,12 +32,11 @@ package cluster
 
 import "errors"
 
-// ErrLegacyPeer reports a peer whose handshake does not advertise the
-// cluster protocol capability (a pre-cluster binary, or one started
-// without -peers). Such peers would decode peer verbs as garbage or
-// reject them with opaque strings, so ring membership refuses them with
-// this typed error instead.
-var ErrLegacyPeer = errors.New("cluster: peer does not speak the cluster protocol")
+// ErrNoPeerRole reports a peer whose handshake does not advertise the
+// cluster peer role (a doocserve started without -node-id). Such a server
+// refuses every peer verb, so ring membership refuses it with this typed
+// error instead.
+var ErrNoPeerRole = errors.New("cluster: peer has no cluster role")
 
 // ErrNotMember reports an operation addressed to a node ID outside the
 // current membership view.

@@ -17,7 +17,7 @@ type nodeMetrics struct {
 	replicaFills      *obs.Counter
 	peerDeaths        *obs.Counter
 	viewExchanges     *obs.Counter
-	legacyRejections  *obs.Counter
+	roleRejections    *obs.Counter
 	servedGets        *obs.Counter
 	servedPuts        *obs.Counter
 	proxyFetches      *obs.Counter
@@ -45,7 +45,7 @@ func newNodeMetrics(reg *obs.Registry, self string) nodeMetrics {
 		replicaFills:      reg.Counter("dooc_cluster_replica_fills_total", "hot blocks installed into the replica cache", l),
 		peerDeaths:        reg.Counter("dooc_cluster_peer_deaths_total", "peers declared dead by the prober", l),
 		viewExchanges:     reg.Counter("dooc_cluster_view_exchanges_total", "membership view gossip rounds completed", l),
-		legacyRejections:  reg.Counter("dooc_cluster_legacy_rejections_total", "peers rejected from membership for lacking the cluster capability", l),
+		roleRejections:    reg.Counter("dooc_cluster_role_rejections_total", "peers rejected from membership for lacking the cluster peer role", l),
 		servedGets:        reg.Counter("dooc_cluster_served_gets_total", "peer-get requests answered from the local block table", l),
 		servedPuts:        reg.Counter("dooc_cluster_served_puts_total", "peer-put requests accepted into the local block table", l),
 		proxyFetches:      reg.Counter("dooc_cluster_proxy_fetches_total", "proxy payloads resolved from their origin peer over the cluster", l),

@@ -31,8 +31,8 @@ type Config struct {
 	// it must match the doocserve listen address.
 	Self Member
 	// Peers are the other expected members at startup. Peers that turn out
-	// to be legacy binaries are rejected from membership on first contact
-	// (ErrLegacyPeer); peers that never answer are marked dead only after
+	// to have no cluster role are rejected from membership on first contact
+	// (ErrNoPeerRole); peers that never answer are marked dead only after
 	// they have been seen alive once, so a slow-starting cluster does not
 	// eat spurious deaths.
 	Peers []Member
@@ -101,7 +101,7 @@ type Counters struct {
 	ReplicaStale        int64
 	ReplicaFills        int64
 	PeerDeaths          int64
-	LegacyRejections    int64
+	RoleRejections      int64
 	ServedGets          int64
 	ServedPuts          int64
 	ViewExchanges       int64
@@ -179,7 +179,7 @@ type Node struct {
 	replicaStale        atomic.Int64
 	replicaFills        atomic.Int64
 	peerDeaths          atomic.Int64
-	legacyRejections    atomic.Int64
+	roleRejections      atomic.Int64
 	servedGets          atomic.Int64
 	servedPuts          atomic.Int64
 	viewExchanges       atomic.Int64
@@ -320,7 +320,7 @@ func (n *Node) Counters() Counters {
 		ReplicaStale:        n.replicaStale.Load(),
 		ReplicaFills:        n.replicaFills.Load(),
 		PeerDeaths:          n.peerDeaths.Load(),
-		LegacyRejections:    n.legacyRejections.Load(),
+		RoleRejections:      n.roleRejections.Load(),
 		ServedGets:          n.servedGets.Load(),
 		ServedPuts:          n.servedPuts.Load(),
 		ViewExchanges:       n.viewExchanges.Load(),
@@ -377,8 +377,8 @@ type clientEntry struct {
 }
 
 // client returns a connected, cluster-capable client for a member,
-// dialing lazily. A member whose handshake lacks the cluster capability
-// is expelled from membership and reported as ErrLegacyPeer.
+// dialing lazily. A member whose handshake lacks the cluster role bit
+// is expelled from membership and reported as ErrNoPeerRole.
 func (n *Node) client(id string) (*remote.Client, error) {
 	n.mu.Lock()
 	m, ok := n.members[id]
@@ -403,7 +403,6 @@ func (n *Node) client(id string) (*remote.Client, error) {
 		return e.cl, nil
 	}
 	cl, err := remote.DialOptions(m.Addr, remote.Options{
-		Handshake:  true,
 		Codec:      n.cfg.Codec,
 		Timeout:    n.cfg.RPCTimeout,
 		MaxRetries: 1,
@@ -413,8 +412,8 @@ func (n *Node) client(id string) (*remote.Client, error) {
 	}
 	if !cl.ClusterCapable() {
 		cl.Close()
-		n.expelLegacy(id)
-		return nil, ErrLegacyPeer
+		n.expelNoRole(id)
+		return nil, ErrNoPeerRole
 	}
 	// The entry may have been dropped while we dialed (peer died, node
 	// closed); a dropped entry must not resurrect in the pool.
@@ -502,10 +501,10 @@ func (n *Node) noteDeath(id string) {
 	}
 }
 
-// expelLegacy removes a peer that cannot speak the cluster protocol.
-// Unlike death, this is permanent for the peer's lifetime: it will never
-// gossip its way back in, because it cannot gossip at all.
-func (n *Node) expelLegacy(id string) {
+// expelNoRole removes a peer that has no cluster role. Unlike death, this
+// is permanent for the peer's lifetime: it will never gossip its way back
+// in, because it cannot gossip at all.
+func (n *Node) expelNoRole(id string) {
 	n.mu.Lock()
 	if _, ok := n.members[id]; !ok {
 		n.mu.Unlock()
@@ -515,8 +514,8 @@ func (n *Node) expelLegacy(id string) {
 	n.dead[id] = true
 	n.version++
 	n.rebuildRingLocked()
-	// A legacy peer never held ring blocks and can never ack, so it owes
-	// no deletes.
+	// A peer without the role never held ring blocks and can never ack, so
+	// it owes no deletes.
 	for array, owing := range n.pendingDel {
 		delete(owing, id)
 		if len(owing) == 0 {
@@ -524,9 +523,9 @@ func (n *Node) expelLegacy(id string) {
 		}
 	}
 	n.mu.Unlock()
-	n.legacyRejections.Add(1)
-	n.metrics.legacyRejections.Inc()
-	n.logf("cluster: peer %s rejected: %v", id, ErrLegacyPeer)
+	n.roleRejections.Add(1)
+	n.metrics.roleRejections.Inc()
+	n.logf("cluster: peer %s rejected: %v", id, ErrNoPeerRole)
 }
 
 // ---- membership gossip ----
@@ -799,7 +798,7 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 		}
 		cl, err := n.client(id)
 		if err != nil {
-			if err != ErrLegacyPeer && err != ErrNotMember && err != ErrClosed {
+			if err != ErrNoPeerRole && err != ErrNotMember && err != ErrClosed {
 				n.maybeDead(id)
 			}
 			continue
@@ -872,7 +871,7 @@ func (n *Node) PushBlock(array string, block int, data []byte) bool {
 		attempted++
 		cl, err := n.client(id)
 		if err != nil {
-			if err != ErrLegacyPeer && err != ErrNotMember && err != ErrClosed {
+			if err != ErrNoPeerRole && err != ErrNotMember && err != ErrClosed {
 				n.maybeDead(id)
 			}
 			continue

@@ -688,35 +688,35 @@ func peerByMember(members []Member, id string) *Member {
 	return nil
 }
 
-// TestNodeLegacyRejection points a cluster node at a plain storage server
-// (no peer role — a pre-cluster binary) and checks the typed rejection:
-// ErrLegacyPeer on first contact, permanent expulsion from membership, and
-// placement that never routes to the legacy peer again.
-func TestNodeLegacyRejection(t *testing.T) {
+// TestNodeRoleRejection points a cluster node at a plain storage server
+// (no peer role — a doocserve started without -node-id) and checks the
+// typed rejection: ErrNoPeerRole on first contact, permanent expulsion from
+// membership, and placement that never routes to that peer again.
+func TestNodeRoleRejection(t *testing.T) {
 	lst, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lst.Close()
-	legacy, err := remote.Listen(lst, "127.0.0.1:0") // no ServerOptions.Peer
+	plain, err := remote.Listen(lst, "127.0.0.1:0") // no ServerOptions.Peer
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
+	defer plain.Close()
 
 	peers := startTestCluster(t, 2, func(i int, cfg *Config) {
-		cfg.Peers = append(cfg.Peers, Member{ID: "old", Addr: legacy.Addr()})
+		cfg.Peers = append(cfg.Peers, Member{ID: "old", Addr: plain.Addr()})
 	})
 	n := peers[0].node
-	if _, err := n.client("old"); !errors.Is(err, ErrLegacyPeer) {
-		t.Fatalf("first contact error = %v, want ErrLegacyPeer", err)
+	if _, err := n.client("old"); !errors.Is(err, ErrNoPeerRole) {
+		t.Fatalf("first contact error = %v, want ErrNoPeerRole", err)
 	}
 	// Expelled: no longer a member, counted, and listed dead.
 	if _, err := n.client("old"); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("post-expulsion error = %v, want ErrNotMember", err)
 	}
-	if c := n.Counters(); c.LegacyRejections != 1 {
-		t.Fatalf("legacy rejections = %d, want 1", c.LegacyRejections)
+	if c := n.Counters(); c.RoleRejections != 1 {
+		t.Fatalf("role rejections = %d, want 1", c.RoleRejections)
 	}
 	st := n.Status()
 	if len(st.Dead) != 1 || st.Dead[0] != "old" {
@@ -724,14 +724,14 @@ func TestNodeLegacyRejection(t *testing.T) {
 	}
 	for _, id := range n.currentRing().Members() {
 		if id == "old" {
-			t.Fatal("legacy peer still on the ring")
+			t.Fatal("role-less peer still on the ring")
 		}
 	}
 	// The cluster keeps working without it.
 	payload := bytes.Repeat([]byte{4}, 128)
 	peers[0].node.PushBlock("A", 0, payload)
 	if data, ok := peers[1].node.FetchBlock("A", 0); !ok || !bytes.Equal(data, payload) {
-		t.Fatal("fetch failed after legacy expulsion")
+		t.Fatal("fetch failed after the expulsion")
 	}
 }
 

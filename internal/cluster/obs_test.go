@@ -10,7 +10,7 @@ import (
 )
 
 // TestClusterObsReconcile drives a shared-registry cluster through pushes,
-// forwarded reads, replica traffic, and a legacy rejection, then checks
+// forwarded reads, replica traffic, and a role rejection, then checks
 // that every dooc_cluster_* series reconciles exactly with the nodes'
 // Counters() snapshots — the acceptance criterion that the two reporting
 // paths can never drift (both are fed by the same increments).
@@ -65,7 +65,7 @@ func TestClusterObsReconcile(t *testing.T) {
 		"dooc_cluster_replica_stale_total":         func(c Counters) int64 { return c.ReplicaStale },
 		"dooc_cluster_replica_fills_total":         func(c Counters) int64 { return c.ReplicaFills },
 		"dooc_cluster_peer_deaths_total":           func(c Counters) int64 { return c.PeerDeaths },
-		"dooc_cluster_legacy_rejections_total":     func(c Counters) int64 { return c.LegacyRejections },
+		"dooc_cluster_role_rejections_total":       func(c Counters) int64 { return c.RoleRejections },
 		"dooc_cluster_served_gets_total":           func(c Counters) int64 { return c.ServedGets },
 		"dooc_cluster_served_puts_total":           func(c Counters) int64 { return c.ServedPuts },
 		"dooc_cluster_view_exchanges_total":        func(c Counters) int64 { return c.ViewExchanges },

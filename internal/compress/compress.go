@@ -112,20 +112,6 @@ func Names() []string {
 	return out
 }
 
-// Mask returns the capability bitmask of all registered codecs with IDs < 8
-// — the byte exchanged in the remote handshake.
-func Mask() uint8 {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	var m uint8
-	for id := range byID {
-		if id < 8 {
-			m |= 1 << id
-		}
-	}
-	return m
-}
-
 // Default returns the codec the runtime uses when compression is enabled
 // without an explicit choice: FloatShuffle, which wins on the float64-heavy
 // payloads that dominate scratch and wire traffic and bails to raw

@@ -162,8 +162,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRegistry checks lookup by ID and name, the capability mask, and the
-// frame peek helper.
+// TestRegistry checks lookup by ID and name and the frame peek helper.
 func TestRegistry(t *testing.T) {
 	for _, id := range []uint8{IDRaw, IDDeltaVarint, IDDeltaVarint3, IDFloatShuffle} {
 		c, ok := ByID(id)
@@ -176,9 +175,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByID(200); ok {
 		t.Error("unregistered ID resolved")
-	}
-	if m := Mask(); m&0x0F != 0x0F {
-		t.Errorf("capability mask %08b missing a builtin codec", m)
 	}
 	frame := EncodeFrame(Default(), []byte("hello hello hello"))
 	c, err := FrameCodec(frame)

@@ -30,8 +30,7 @@ type Checkpoint struct {
 
 // Checkpoint files carry a CRC32-C trailer over the payload so a file torn
 // by a crash mid-write (or bit-rotted) is detected at load, not silently
-// resumed from. Trailer-less files the exact payload length are accepted as
-// legacy.
+// resumed from.
 var ckCRC = crc32.MakeTable(crc32.Castagnoli)
 
 const ckTrailerLen = 4
@@ -61,18 +60,13 @@ func readCheckpointPart(path string, want int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch len(raw) {
-	case want + ckTrailerLen:
-		if crc32.Checksum(raw[:want], ckCRC) != binary.LittleEndian.Uint32(raw[want:]) {
-			return nil, fmt.Errorf("core: checkpoint part %s fails its CRC32-C", path)
-		}
-		return raw[:want], nil
-	case want:
-		// Legacy trailer-less part: length is the only check available.
-		return raw, nil
-	default:
-		return nil, fmt.Errorf("core: checkpoint part %s truncated (%d bytes, want %d)", path, len(raw), want)
+	if len(raw) != want+ckTrailerLen {
+		return nil, fmt.Errorf("core: checkpoint part %s truncated (%d bytes, want %d)", path, len(raw), want+ckTrailerLen)
 	}
+	if crc32.Checksum(raw[:want], ckCRC) != binary.LittleEndian.Uint32(raw[want:]) {
+		return nil, fmt.Errorf("core: checkpoint part %s fails its CRC32-C", path)
+	}
+	return raw[:want], nil
 }
 
 // LatestCheckpoint scans the scratch layout for the newest complete and

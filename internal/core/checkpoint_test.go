@@ -151,13 +151,13 @@ func mutateCheckpointPart(t *testing.T, root, name string, mutate func([]byte) [
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	m, x0, root := checkpointFixture(t)
 	sys1 := checkpointSystem(t, root)
-	cfg := SpMVConfig{Dim: m.Rows, K: 3, Iters: 3, Nodes: 2, Tag: "job4"}
+	cfg := SpMVConfig{Dim: m.Rows, K: 3, Iters: 4, Nodes: 2, Tag: "job4"}
 	if _, _, err := ResumeIteratedSpMV(sys1, cfg, x0); err != nil {
 		t.Fatal(err)
 	}
 	sys1.Close()
 
-	mutateCheckpointPart(t, root, "job4:x_3_1.arr", func(b []byte) []byte {
+	mutateCheckpointPart(t, root, "job4:x_4_1.arr", func(b []byte) []byte {
 		b[3] ^= 0x40
 		return b
 	})
@@ -165,8 +165,21 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ck == nil || ck.Iter != 3 {
+		t.Fatalf("after corrupting iteration 4, latest = %+v, want iteration 3", ck)
+	}
+
+	// A part that lost exactly its CRC trailer has the bare payload length;
+	// it must still be refused, never resumed from unchecked.
+	mutateCheckpointPart(t, root, "job4:x_3_0.arr", func(b []byte) []byte {
+		return b[:len(b)-4]
+	})
+	ck, err = LatestCheckpoint(root, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ck == nil || ck.Iter != 2 {
-		t.Fatalf("after corrupting iteration 3, latest = %+v, want iteration 2", ck)
+		t.Fatalf("after stripping iteration 3's trailer, latest = %+v, want iteration 2", ck)
 	}
 
 	mutateCheckpointPart(t, root, "job4:x_2_0.arr", func(b []byte) []byte {

@@ -114,10 +114,6 @@ func NewSolverService(sys *core.System, base core.SpMVConfig, cfg Config) *Solve
 	return s
 }
 
-// ProxyEnabled reports whether this service registers and resolves proxy
-// handles (the remote server advertises the capability from it).
-func (s *SolverService) ProxyEnabled() bool { return s.reg != nil }
-
 // Proxies exposes the registry (nil when the proxy plane is disabled).
 func (s *SolverService) Proxies() *proxy.Registry { return s.reg }
 

@@ -77,9 +77,8 @@ type Record struct {
 	// crash or an interrupted drain.
 	Resumed int
 
-	// TraceID/RootSpan are the job's causal identity (hex; empty for
-	// records written before tracing existed — gob omits zero values, so
-	// old journals replay unchanged).
+	// TraceID/RootSpan are the job's causal identity (hex; empty for an
+	// untraced job).
 	TraceID  string
 	RootSpan string
 
@@ -220,8 +219,7 @@ const (
 // entries persist the ID high-water mark (so pruning old history never
 // recycles an ID); drain entries mark a graceful shutdown's start, which
 // recovery reports so an operator can tell a drain-interrupted boot from a
-// crash; proxy entries journal proxy-handle state (gob omits the zero
-// value, so journals written before the proxy plane replay unchanged).
+// crash; proxy entries journal proxy-handle state.
 type entry struct {
 	Kind  entryKind
 	Rec   Record

@@ -3,9 +3,11 @@ package jobstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -469,4 +471,118 @@ func TestProxyRecordReplay(t *testing.T) {
 	if len(live) != 1 || live[0].Name != "a" || live[0].Epoch != 1 || live[0].Refs != 2 {
 		t.Fatalf("post-compaction %+v", live)
 	}
+}
+
+// eventEntry is a journal entry whose record carries one flight event
+// with a single "K"="V" attribute.
+func eventEntry(t testing.TB) []byte {
+	t.Helper()
+	r := rec(7, "done")
+	r.Events = []obs.FlightEvent{{Seq: 1, Kind: "transition", Name: "done", Attrs: obs.FlightAttrs{"K": "V"}}}
+	payload, err := encodeEntry(&entry{Kind: entryRecord, Rec: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// gobUint decodes one gob unsigned integer, returning it and its width.
+func gobUint(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := int(-int8(b[0]))
+	var v uint64
+	for _, c := range b[1 : 1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, 1 + n
+}
+
+// appendGobUint appends v in gob's unsigned integer encoding.
+func appendGobUint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], v)
+	i := 0
+	for be[i] == 0 {
+		i++
+	}
+	return append(append(b, byte(-int8(8-i))), be[i:]...)
+}
+
+// TestDecodeEntryRejectsForgedAttrCount: a journal entry whose flight-event
+// attrs claim 2^20 pairs in a few bytes is refused without allocating for
+// the claimed count — the WAL frame's CRC is valid, so only the decoder
+// stands between a forged record and the allocation.
+func TestDecodeEntryRejectsForgedAttrCount(t *testing.T) {
+	payload := eventEntry(t)
+	e, err := decodeEntry(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Rec.Events[0].Attrs; len(got) != 1 || got["K"] != "V" {
+		t.Fatalf("attrs replayed as %v", got)
+	}
+
+	// The attrs travel as a 5-byte blob: count 1, then "K" and "V".
+	blob := []byte{0x05, 0x01, 0x01, 'K', 0x01, 'V'}
+	at := bytes.Index(payload, blob)
+	if at < 0 {
+		t.Fatalf("attrs blob not found in % x", payload)
+	}
+	forgedBlob := append(binary.AppendUvarint(nil, 1<<20), blob[2:]...)
+	forgedBlob = append([]byte{byte(len(forgedBlob))}, forgedBlob...)
+	// Only the last gob message (the entry value) grows; re-prefix it.
+	last, w := 0, 0
+	for pos := 0; pos < len(payload); {
+		n, width := gobUint(payload[pos:])
+		last, w = pos, width
+		pos += width + int(n)
+	}
+	if at < last+w {
+		t.Fatal("attrs blob outside the value message")
+	}
+	body := append(append(append([]byte(nil), payload[last+w:at]...), forgedBlob...), payload[at+len(blob):]...)
+	forged := appendGobUint(append([]byte(nil), payload[:last]...), uint64(len(body)))
+	forged = append(forged, body...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeEntry(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged attr count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("decoding the forged entry allocated %d bytes", grew)
+	}
+}
+
+// FuzzReplayWAL feeds arbitrary entry payloads through the replay path — a
+// CRC-valid WAL frame, readFrame, decodeEntry — in memory. Any input must
+// decode or fail cleanly; none may panic or allocate past its own size
+// class.
+func FuzzReplayWAL(f *testing.F) {
+	f.Add(eventEntry(f))
+	f.Add([]byte{0x01})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, payload, maxWALFrameLen); err != nil {
+			return
+		}
+		got, err := readFrame(&buf, int64(buf.Len()), maxWALFrameLen)
+		if err != nil {
+			if len(payload) == 0 {
+				return // an empty frame reads as torn
+			}
+			t.Fatalf("readFrame of a valid frame: %v", err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatal("frame round trip changed the payload")
+		}
+		decodeEntry(got)
+	})
 }

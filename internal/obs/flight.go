@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"errors"
 	"sync"
 	"time"
 )
@@ -11,14 +13,75 @@ import (
 // journaled, recovered after a crash, and rendered as a Chrome trace without
 // the process that recorded it.
 type FlightEvent struct {
-	Seq    uint64            `json:"seq"`
-	At     time.Time         `json:"at"`
-	Kind   string            `json:"kind"` // "transition", "span", "retry", "note"
-	Name   string            `json:"name"`
-	Trace  string            `json:"trace_id,omitempty"`
-	Span   string            `json:"span_id,omitempty"`
-	Parent string            `json:"parent_id,omitempty"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
+	Seq    uint64      `json:"seq"`
+	At     time.Time   `json:"at"`
+	Kind   string      `json:"kind"` // "transition", "span", "retry", "note"
+	Name   string      `json:"name"`
+	Trace  string      `json:"trace_id,omitempty"`
+	Span   string      `json:"span_id,omitempty"`
+	Parent string      `json:"parent_id,omitempty"`
+	Attrs  FlightAttrs `json:"attrs,omitempty"`
+}
+
+// FlightAttrs are a FlightEvent's free-form annotations. The named type
+// exists for its gob form: gob sizes a plain map from the count it reads
+// before any entry, so one forged journal record could force an allocation
+// of any size. This form checks every count and length against the bytes
+// actually present first.
+type FlightAttrs map[string]string
+
+// errForgedAttrs reports a FlightAttrs encoding whose counts or lengths do
+// not fit the bytes that carry it.
+var errForgedAttrs = errors.New("obs: flight attrs encoding overruns its bytes")
+
+// GobEncode writes the pair count, then each key and value, all as
+// uvarint-prefixed lengths.
+func (a FlightAttrs) GobEncode() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(a)))
+	for k, v := range a {
+		b = binary.AppendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	return b, nil
+}
+
+// GobDecode reverses GobEncode. A pair count beyond what the remaining
+// bytes could hold (two length bytes per pair at least), or a string length
+// beyond the bytes left, is refused before anything is allocated for it.
+func (a *FlightAttrs) GobDecode(b []byte) error {
+	n, used := binary.Uvarint(b)
+	if used <= 0 || n > uint64(len(b)-used)/2 {
+		return errForgedAttrs
+	}
+	b = b[used:]
+	next := func() (string, bool) {
+		l, used := binary.Uvarint(b)
+		if used <= 0 || l > uint64(len(b)-used) {
+			return "", false
+		}
+		s := string(b[used : used+int(l)])
+		b = b[used+int(l):]
+		return s, true
+	}
+	m := make(FlightAttrs, n)
+	for i := uint64(0); i < n; i++ {
+		k, ok := next()
+		if !ok {
+			return errForgedAttrs
+		}
+		v, ok := next()
+		if !ok {
+			return errForgedAttrs
+		}
+		m[k] = v
+	}
+	if len(b) != 0 {
+		return errForgedAttrs
+	}
+	*a = m
+	return nil
 }
 
 // DefaultFlightEvents bounds a flight recorder when no capacity is given.

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -121,5 +125,50 @@ func TestFlightTrace(t *testing.T) {
 
 	if _, err := FlightTrace(nil, 1, "x"); err == nil {
 		t.Fatal("FlightTrace accepted empty events")
+	}
+}
+
+// TestFlightAttrsGob: attrs round-trip through gob and keep their JSON
+// form, and an encoding whose pair count or string length overruns its
+// bytes is refused.
+func TestFlightAttrsGob(t *testing.T) {
+	for _, attrs := range []FlightAttrs{nil, {"error": "transient", "tenant": "acme", "": ""}} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(FlightEvent{Kind: "retry", Attrs: attrs}); err != nil {
+			t.Fatal(err)
+		}
+		var got FlightEvent
+		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Attrs, attrs) {
+			t.Fatalf("attrs %v round-tripped as %v", attrs, got.Attrs)
+		}
+	}
+	js, err := json.Marshal(FlightEvent{Attrs: FlightAttrs{"b": "2", "a": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(js, []byte(`"attrs":{"a":"1","b":"2"}`)) {
+		t.Fatalf("attrs JSON changed: %s", js)
+	}
+
+	good, _ := FlightAttrs{"K": "V"}.GobEncode() // 01 01 'K' 01 'V'
+	cases := map[string][]byte{
+		"count":      append(binary.AppendUvarint(nil, 1<<26), good[1:]...),
+		"key-length": {0x01, 0x7F, 'K', 0x01, 'V'},
+		"val-length": {0x01, 0x01, 'K', 0x05, 'V'},
+		"trailing":   append(append([]byte(nil), good...), 0),
+		"empty":      nil,
+	}
+	for name, b := range cases {
+		var a FlightAttrs
+		if err := a.GobDecode(b); err == nil {
+			t.Errorf("%s: forged encoding % x accepted as %v", name, b, a)
+		}
+	}
+	var a FlightAttrs
+	if err := a.GobDecode(good); err != nil || a["K"] != "V" || len(a) != 1 {
+		t.Fatalf("valid encoding: %v, %v", a, err)
 	}
 }

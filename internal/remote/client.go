@@ -33,18 +33,11 @@ type Options struct {
 	// Obs, when non-nil, receives the client's RPC metrics
 	// (dooc_remote_client_*).
 	Obs *obs.Registry
-	// Codec, when non-nil, opens the connection with a capability handshake
-	// and compresses payloads both ways with any codec the peer's mask
-	// admits. Against a legacy server the client transparently falls back
-	// to the plain protocol (NegotiatedCodec reports nil).
+	// Codec, when non-nil, compresses request payloads and is named in the
+	// hello as the preferred codec for compressed responses.
 	Codec compress.Codec
 	// CompressMin is the smallest payload worth compressing (default 1 KiB).
 	CompressMin int
-	// Handshake forces the capability hello even without a codec, so the
-	// client learns the server's full capability mask (ClusterCapable).
-	// Against a legacy server the client still falls back to the plain
-	// protocol; the mask then stays zero.
-	Handshake bool
 }
 
 func (o Options) withDefaults() Options {
@@ -105,8 +98,7 @@ type Client struct {
 	pending    map[uint64]*pendingCall
 	closed     bool
 	reconnects int64
-	negotiated compress.Codec // wire codec agreed at handshake; nil = plain
-	peerMask   uint8          // server capability mask from the handshake; 0 = plain/legacy
+	roles      uint8 // server role bits from the last handshake
 
 	metrics clientMetrics
 
@@ -134,50 +126,31 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return cl, nil
 }
 
-// dialConn dials the server and, when a codec is configured, runs the
-// capability handshake. A peer that does not speak the handshake drops the
-// connection (or stays silent past the deadline); the client then redials
-// and talks the plain protocol, so old servers keep working uncompressed.
+// dialConn dials the server and runs the hello handshake. A server that
+// does not answer with a v1 hello fails the dial; there is no other
+// protocol to fall back to.
 func (cl *Client) dialConn() (*conn, error) {
 	raw, err := net.Dial("tcp", cl.addr)
 	if err != nil {
 		return nil, err
 	}
-	var negotiated compress.Codec
-	var peerMask uint8
 	codec := cl.opts.Codec
 	if codec != nil && codec.ID() == (compress.Raw{}).ID() {
 		codec = nil
 	}
-	if codec != nil || cl.opts.Handshake {
-		neg, mask, herr := clientHandshake(raw, codec)
-		if herr != nil {
-			raw.Close()
-			raw, err = net.Dial("tcp", cl.addr)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			negotiated, peerMask = neg, mask
-		}
+	roles, err := clientHandshake(raw, codec)
+	if err != nil {
+		raw.Close()
+		return nil, fmt.Errorf("remote: handshake with %s: %w", cl.addr, err)
 	}
 	c := newFaultyConn(raw, cl.opts.Faults)
-	c.codec = negotiated
+	c.codec = codec
 	c.compressMin = compressMinOrDefault(cl.opts.CompressMin)
 	c.wire = cl.metrics.wire
 	cl.mu.Lock()
-	cl.negotiated = negotiated
-	cl.peerMask = peerMask
+	cl.roles = roles
 	cl.mu.Unlock()
 	return c, nil
-}
-
-// NegotiatedCodec returns the wire codec agreed with the server at the last
-// (re)connect, or nil when the connection speaks the plain protocol.
-func (cl *Client) NegotiatedCodec() compress.Codec {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.negotiated
 }
 
 // Close tears the connection down; in-flight calls fail terminally.
@@ -423,6 +396,8 @@ func (cl *Client) call(req *request) (*response, error) {
 // landed left matching metadata, a delete that landed left nothing.
 // inconclusive means the verification itself hit a transport fault (or
 // found the interval unwritten) and the caller should replay the mutation.
+// The server's error is matched on its fixed storage prefix only: the text
+// after it holds the caller-chosen array name, which may contain anything.
 func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive bool) {
 	var se *serverError
 	if !errors.As(err, &se) {
@@ -430,7 +405,7 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 	}
 	switch req.Op {
 	case opWrite:
-		if !strings.Contains(se.msg, "immutable") {
+		if !strings.HasPrefix(se.msg, "storage: immutable violation:") {
 			return false, false
 		}
 		// Bound the read-back: if the interval is not fully written the
@@ -448,7 +423,7 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 		}
 		return false, false // genuinely conflicting data
 	case opCreate:
-		if !strings.Contains(se.msg, "already exists") {
+		if !strings.HasPrefix(se.msg, storage.ErrArrayExists.Error()) {
 			return false, false
 		}
 		resp, rerr := cl.roundTrip(&request{Op: opInfo, Array: req.Array}, cl.opts.Timeout)
@@ -460,7 +435,7 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 		}
 		return false, false
 	case opDelete:
-		if strings.Contains(se.msg, "does not exist") {
+		if strings.HasPrefix(se.msg, storage.ErrNoArray.Error()) {
 			return true, false
 		}
 	}

@@ -25,7 +25,7 @@ func wirePayload(n int) []byte {
 
 // TestParseHello covers the hello validator: a frame of the wrong length,
 // marker or magic is malformed, and a version other than protoVersion is
-// refused; only a well-formed current hello yields its mask and codec.
+// refused; only a well-formed current hello yields its role bits and codec.
 func TestParseHello(t *testing.T) {
 	withVersion := func(v byte) []byte {
 		b := helloFrame(0x05, 0x02)
@@ -53,7 +53,7 @@ func TestParseHello(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mask, pref, err := parseHello(tc.b)
+			roles, pref, err := parseHello(tc.b)
 			if !tc.ok {
 				if err == nil {
 					t.Fatalf("parseHello(% x) accepted, want an error", tc.b)
@@ -63,8 +63,8 @@ func TestParseHello(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parseHello(% x): %v", tc.b, err)
 			}
-			if mask != 0x05 || pref != 0x02 {
-				t.Fatalf("mask=%#x pref=%#x, want 0x5/0x2", mask, pref)
+			if roles != 0x05 || pref != 0x02 {
+				t.Fatalf("roles=%#x pref=%#x, want 0x5/0x2", roles, pref)
 			}
 		})
 	}
@@ -96,14 +96,11 @@ func startCodecServer(t *testing.T, reg *obs.Registry, srvOpts ServerOptions, cl
 	return srv, cl
 }
 
-// TestWireCompressionRoundTrip negotiates the default codec and moves a
+// TestWireCompressionRoundTrip prefers the default codec and moves a
 // compressible payload both ways: the data must round-trip exactly while the
 // wire carries fewer payload bytes than the logical interval.
 func TestWireCompressionRoundTrip(t *testing.T) {
 	srv, cl := startCodecServer(t, nil, ServerOptions{}, Options{Codec: compress.Default()})
-	if got := cl.NegotiatedCodec(); got == nil || got.ID() != compress.Default().ID() {
-		t.Fatalf("NegotiatedCodec() = %v, want %s", got, compress.Default().Name())
-	}
 
 	payload := wirePayload(64 << 10)
 	if err := cl.Create("v", int64(len(payload)), int64(len(payload))); err != nil {
@@ -159,58 +156,6 @@ func TestWireCompressionBailsOutOnRandomPayload(t *testing.T) {
 	}
 	if reg.Sum("dooc_remote_server_compress_bailouts_total") == 0 {
 		t.Error("server never counted the bail-out")
-	}
-}
-
-// TestLegacyServerFallback dials a codec-configured client against a server
-// that drops handshake hellos the way a pre-compression binary's gob decoder
-// would: the client must transparently fall back to the plain protocol.
-func TestLegacyServerFallback(t *testing.T) {
-	srv, cl := startCodecServer(t, nil, ServerOptions{Legacy: true}, Options{Codec: compress.Default()})
-	if got := cl.NegotiatedCodec(); got != nil {
-		t.Fatalf("NegotiatedCodec() = %s against a legacy server", got.Name())
-	}
-
-	payload := wirePayload(16 << 10)
-	if err := cl.Create("p", int64(len(payload)), int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteInterval("p", 0, int64(len(payload)), payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.ReadInterval("p", 0, int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("fallback round trip corrupted the payload")
-	}
-	// Nothing was compressed: wire bytes equal logical bytes.
-	if in := srv.BytesIn(); in != int64(len(payload)) {
-		t.Errorf("server received %d wire bytes, want plain %d", in, len(payload))
-	}
-}
-
-// TestLegacyClientAgainstCodecServer checks the other direction: a client
-// that never sends a hello gets plain payloads from a codec-capable server.
-func TestLegacyClientAgainstCodecServer(t *testing.T) {
-	srv, cl := startCodecServer(t, nil, ServerOptions{Codec: compress.Default()}, Options{})
-	payload := wirePayload(16 << 10)
-	if err := cl.Create("q", int64(len(payload)), int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteInterval("q", 0, int64(len(payload)), payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.ReadInterval("q", 0, int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("legacy-client round trip corrupted the payload")
-	}
-	if out := srv.BytesOut(); out < int64(len(payload)) {
-		t.Errorf("server sent %d wire bytes to a legacy client: compressed without negotiation", out)
 	}
 }
 

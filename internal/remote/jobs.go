@@ -1,7 +1,7 @@
 // Job-service verbs: the remote protocol's second personality. A server
 // constructed with ServerOptions.Jobs fronts a jobs.SolverService, and
 // clients submit, watch, cancel, and collect iterated-SpMV jobs over the
-// same gob/CRC32/hello-negotiated connection the storage verbs use. Job
+// same gob/CRC32/hello-opened connection the storage verbs use. Job
 // results ride the normal payload path, so they get wire compression and
 // checksum protection for free, and the result round-trip blocks
 // server-side until the job finishes — the same long-poll discipline as a
@@ -34,15 +34,13 @@ type jobWire struct {
 	Key string
 	// TraceHi/TraceLo/TraceSpan carry the submitter's trace context (the
 	// 128-bit trace ID and the client root span) so the server's job spans
-	// join the client's causal tree. All-zero means untraced; gob omits
-	// zero fields, so legacy peers on either side interoperate unchanged.
+	// join the client's causal tree. All-zero means untraced.
 	TraceHi, TraceLo, TraceSpan uint64
 	// Offset/Limit paginate the history verb.
 	Offset int
 	Limit  int
 	// InputProxy is the submit verb's chained input handle in its
 	// "name@epoch[@scope]" string form ("" = seed-derived start vector).
-	// Gob omits the empty string, so legacy peers never see the field.
 	InputProxy string
 }
 
@@ -169,11 +167,6 @@ func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 		TraceSpan:    req.Trace.Span.Word(),
 	}}
 	if req.Input.Valid() {
-		// A chained input is a proxy-plane feature: refuse locally rather
-		// than let a legacy server silently run from the seed vector.
-		if !cl.ProxyCapable() {
-			return jobs.JobStatus{}, fmt.Errorf("%w (submit with -input-proxy)", ErrLegacyProxy)
-		}
 		wire.Job.InputProxy = req.Input.String()
 	}
 	var resp *response

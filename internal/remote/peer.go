@@ -2,16 +2,15 @@
 // constructed with ServerOptions.Peer joins the sharded storage tier —
 // other doocserve processes push owned blocks into it, fetch them back on
 // miss, and exchange versioned membership views over the same
-// gob/CRC32/hello-negotiated connection the storage and job verbs use.
+// gob/CRC32/hello-opened connection the storage and job verbs use.
 // Block payloads ride the normal payload path, so they get wire
 // compression and checksum protection for free.
 //
-// Capability gating: a cluster-enabled server advertises ClusterCapBit in
-// its handshake hello mask. Peers that do not (legacy pre-cluster
-// binaries, or current ones started without a peer role) are detected at
-// dial time — Client.ClusterCapable reports false — and the cluster layer
-// rejects them from ring membership with a typed error instead of ever
-// sending them a peer verb they would garble.
+// Role gating: a server with a peer role sets ClusterCapBit in its hello
+// reply. A doocserve started without -node-id has no peer role; it is
+// detected at dial time — Client.ClusterCapable reports false — and the
+// cluster layer rejects it from ring membership with a typed error instead
+// of ever sending it a peer verb it would refuse.
 
 package remote
 
@@ -19,10 +18,8 @@ import (
 	"fmt"
 )
 
-// ClusterCapBit is the handshake hello mask bit advertising the cluster
-// peer verbs. The low bits of the mask byte carry codec capabilities
-// (compress.Mask, IDs 0..5); bit 7 is reserved for this and bit 6 for
-// ProxyCapBit.
+// ClusterCapBit is the role bit, in byte 6 of the server's hello reply,
+// advertising the cluster peer verbs.
 const ClusterCapBit uint8 = 1 << 7
 
 // PeerMember identifies one cluster member on the wire. Inc is the
@@ -98,13 +95,12 @@ func (s *Server) dispatchPeer(req *request) *response {
 }
 
 // ClusterCapable reports whether the server at the other end advertised
-// the cluster peer verbs in the last (re)connect's handshake. False for
-// legacy binaries (the handshake itself fell back to the plain protocol)
-// and for current binaries running without a peer role.
+// the cluster peer verbs in the last (re)connect's handshake. False for a
+// server running without a peer role.
 func (cl *Client) ClusterCapable() bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	return cl.peerMask&ClusterCapBit != 0
+	return cl.roles&ClusterCapBit != 0
 }
 
 // PeerPut pushes one block of an array to the peer at the given epoch.

@@ -49,18 +49,16 @@ const (
 	opJobCancel
 	opJobResult
 	opJobList
-	// opJobHistory pages through terminal jobs (appended last for wire
-	// compatibility with older peers).
+	// opJobHistory pages through terminal jobs.
 	opJobHistory
 	// Cluster peer verbs (server must be constructed with
-	// ServerOptions.Peer; gated by ClusterCapBit in the handshake mask).
+	// ServerOptions.Peer, which it advertises with ClusterCapBit).
 	opPeerPut
 	opPeerGet
 	opPeerDel
 	opPeerView
 	// Proxy-object verbs (server's job service must have a proxy registry;
-	// gated by ProxyCapBit in the handshake mask). Appended last for wire
-	// compatibility with older peers.
+	// without one they fail with jobs.ErrNoProxy).
 	opProxyStat
 	opProxyAddRef
 	opProxyRelease
@@ -138,7 +136,7 @@ type request struct {
 	Enc             bool
 	Sum             uint32
 	// Job carries the job-verb parameters (gob omits the zero value for
-	// storage verbs; old peers simply never see the field).
+	// storage verbs).
 	Job jobWire
 	// Cluster peer-verb parameters: the block epoch and durability pin for
 	// peer-put, and the gossiped membership view for peer-view. Gob omits
@@ -177,13 +175,14 @@ type response struct {
 	Total int64
 }
 
-// Wire-compression handshake. A gob stream's first byte is a message length
-// prefix, which is never zero, so a leading 0x00 unambiguously marks a
-// capability hello. A codec-configured client opens with a hello; a current
-// server consumes it and replies in kind, after which both sides may send
-// compressed payloads the peer's mask admits. A legacy server's gob decoder
-// chokes on the 0x00 and drops the connection, and the client falls back to
-// redialing the plain protocol — old peers keep working, just uncompressed.
+// Connection handshake. Every connection opens with an 8-byte hello from
+// the client — marker 0x00, magic, protocol version, role bits, preferred
+// codec ID — and the server answers with a hello of its own before any gob
+// message flows. A peer that does not open this way is not a peer of this
+// build: the server closes the connection without replying, and a client
+// whose hello goes unanswered fails the dial. Byte 6 carries role bits in
+// the server's reply (ClusterCapBit) and 0 from the client; byte 7 names
+// the client's preferred codec for compressed responses.
 const (
 	helloByte    = 0x00
 	helloLen     = 8
@@ -208,16 +207,16 @@ func compressMinOrDefault(n int) int {
 	return n
 }
 
-// helloFrame renders a capability hello: marker, magic, protocol version,
-// codec capability mask (compress.Mask), preferred codec ID.
-func helloFrame(mask, pref uint8) []byte {
-	return []byte{helloByte, helloMagic[0], helloMagic[1], helloMagic[2], helloMagic[3], protoVersion, mask, pref}
+// helloFrame renders a hello: marker, magic, protocol version, role bits,
+// preferred codec ID.
+func helloFrame(roles, pref uint8) []byte {
+	return []byte{helloByte, helloMagic[0], helloMagic[1], helloMagic[2], helloMagic[3], protoVersion, roles, pref}
 }
 
-// parseHello validates a received hello and extracts the peer's capability
-// mask and preferred codec. A peer announcing any protocol version other
-// than this build's is refused: its frames cannot be read as ours.
-func parseHello(b []byte) (mask, pref uint8, err error) {
+// parseHello validates a received hello and extracts the peer's role bits
+// and preferred codec. A peer announcing any protocol version other than
+// this build's is refused: its frames cannot be read as ours.
+func parseHello(b []byte) (roles, pref uint8, err error) {
 	if len(b) != helloLen || b[0] != helloByte ||
 		b[1] != helloMagic[0] || b[2] != helloMagic[1] || b[3] != helloMagic[2] || b[4] != helloMagic[3] {
 		return 0, 0, fmt.Errorf("remote: malformed handshake hello % x", b)
@@ -228,35 +227,25 @@ func parseHello(b []byte) (mask, pref uint8, err error) {
 	return b[6], b[7], nil
 }
 
-// clientHandshake sends a hello and waits (bounded) for the server's reply.
-// It returns the negotiated encode codec (nil when no codec was requested
-// or the server cannot decode it) and the server's raw capability mask —
-// codec bits plus ClusterCapBit and ProxyCapBit. An error means the peer did not speak the
-// handshake — the caller must discard the connection and redial plain.
-// codec may be nil: the hello is then a pure capability probe (the cluster
-// layer dials with no codec but still needs the mask).
-func clientHandshake(raw net.Conn, codec compress.Codec) (compress.Codec, uint8, error) {
+// clientHandshake sends a hello naming the preferred codec (nil for none)
+// and waits, bounded, for the server's reply. It returns the server's role
+// bits. Any error means the connection is unusable and must be closed.
+func clientHandshake(raw net.Conn, codec compress.Codec) (uint8, error) {
 	pref := (compress.Raw{}).ID()
 	if codec != nil {
 		pref = codec.ID()
 	}
 	raw.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer raw.SetDeadline(time.Time{})
-	if _, err := raw.Write(helloFrame(compress.Mask()&^(ClusterCapBit|ProxyCapBit), pref)); err != nil {
-		return nil, 0, err
+	if _, err := raw.Write(helloFrame(0, pref)); err != nil {
+		return 0, err
 	}
 	reply := make([]byte, helloLen)
 	if _, err := io.ReadFull(raw, reply); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	mask, _, err := parseHello(reply)
-	if err != nil {
-		return nil, 0, err
-	}
-	if codec == nil || mask&(1<<codec.ID()) == 0 {
-		return nil, mask, nil
-	}
-	return codec, mask, nil
+	roles, _, err := parseHello(reply)
+	return roles, err
 }
 
 // payloadSum is the wire checksum of a payload (CRC32/IEEE; 0 for empty).
@@ -298,9 +287,8 @@ type conn struct {
 	faults *faults.Injector
 
 	// codec, when non-nil, compresses outgoing payloads of at least
-	// compressMin bytes into adaptive frames (Enc=true). It is set only
-	// after a successful capability handshake, so a frame is never sent to
-	// a peer that cannot decode it.
+	// compressMin bytes into adaptive frames (Enc=true). Every build
+	// registers the same codecs, so any peer can decode any frame.
 	codec       compress.Codec
 	compressMin int
 	wire        *wireCompressMetrics
@@ -322,8 +310,8 @@ func newFaultyConn(raw net.Conn, inj *faults.Injector) *conn {
 // by the next send on any connection.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodePayload compresses data for the wire if the connection negotiated a
-// codec and the payload is worth it. The adaptive encoder's raw bail-out is
+// encodePayload compresses data for the wire if the connection has a codec
+// and the payload is worth it. The adaptive encoder's raw bail-out is
 // mapped back to sending the plain payload: a raw frame would only add the
 // header. When the returned bool is true, the frame's backing is pooled and
 // the caller must release it with putFrame after the bytes have been copied

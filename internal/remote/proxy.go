@@ -1,17 +1,16 @@
 // Proxy-object verbs: the remote protocol's fourth personality. A server
-// whose job service carries a proxy registry advertises ProxyCapBit in its
-// handshake hello, and clients then pass job results around BY REFERENCE: a
-// stat/addref/release manage a handle's refcounted lifetime, a resolve
-// streams its payload in codec-framed chunks, and a job-proxy fetches a
-// finished job's handle instead of its bytes. Chunk payloads ride the
-// normal payload path, so they get wire compression and checksum protection
-// for free; the whole reassembled payload is additionally verified against
-// the handle's registered SHA-256, end to end.
+// whose job service carries a proxy registry lets clients pass job results
+// around BY REFERENCE: a stat/addref/release manage a handle's refcounted
+// lifetime, a resolve streams its payload in codec-framed chunks, and a
+// job-proxy fetches a finished job's handle instead of its bytes. Chunk
+// payloads ride the normal payload path, so they get wire compression and
+// checksum protection for free; the whole reassembled payload is
+// additionally verified against the handle's registered SHA-256, end to
+// end.
 //
-// Capability gating mirrors the cluster tier: a legacy peer (pre-proxy
-// binary, or a current one running without a registry) never advertises the
-// bit, and every client proxy verb fails fast with the typed ErrLegacyProxy
-// instead of sending an opcode the peer would garble.
+// A job service without a registry answers every proxy verb with a typed
+// error the client resurfaces: jobs.ErrNoProxy for stat, addref, release,
+// resolve and job-proxy, proxy.ErrUnknownProxy for a chained submit.
 
 package remote
 
@@ -23,16 +22,6 @@ import (
 	"dooc/internal/proxy"
 )
 
-// ProxyCapBit is the handshake hello mask bit advertising the proxy-object
-// verbs. The low bits of the mask byte carry codec capabilities
-// (compress.Mask, IDs 0..3); bit 7 is ClusterCapBit, bit 6 is this.
-const ProxyCapBit uint8 = 1 << 6
-
-// ErrLegacyProxy reports a proxy verb aimed at a server that did not
-// advertise ProxyCapBit — a legacy binary, a server without a proxy
-// registry, or a connection dialed without the capability handshake.
-var ErrLegacyProxy = fmt.Errorf("remote: server does not speak the proxy-object verbs")
-
 // resolveChunk is the payload size of one proxy-resolve round-trip. Result
 // vectors are a few MiB at most; 256 KiB chunks keep any single gob frame
 // bounded while giving the wire codec enough bytes to bite on.
@@ -43,8 +32,8 @@ const resolveChunk = 256 << 10
 func (s *Server) dispatchProxy(req *request) *response {
 	fail := func(err error) *response { return &response{Err: err.Error()} }
 	svc := s.opts.Jobs
-	if svc == nil || !svc.ProxyEnabled() {
-		return fail(fmt.Errorf("remote: %s: proxy registry not enabled on this server", req.Op))
+	if svc == nil {
+		return fail(fmt.Errorf("remote: %s: job service not enabled on this server", req.Op))
 	}
 	ref, err := proxy.ParseRef(req.Array)
 	if err != nil {
@@ -80,25 +69,11 @@ func (s *Server) dispatchProxy(req *request) *response {
 	return fail(fmt.Errorf("remote: unknown proxy opcode %v", req.Op))
 }
 
-// ProxyCapable reports whether the server at the other end advertised the
-// proxy-object verbs in the last (re)connect's handshake. False for legacy
-// binaries and for servers running without a proxy registry. Like
-// ClusterCapable it needs the capability handshake — dial with a codec or
-// Options.Handshake.
-func (cl *Client) ProxyCapable() bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.peerMask&ProxyCapBit != 0
-}
-
-// proxyCall gates a proxy verb on the negotiated capability, then runs it
-// with the full recovery policy (every proxy verb is idempotent: stat and
-// resolve are reads, addref/release with a named owner are
-// absorbing, and anonymous ones the caller retries knowingly).
+// proxyCall runs a proxy verb with the full recovery policy (every proxy
+// verb is idempotent: stat and resolve are reads, addref/release with a
+// named owner are absorbing, and anonymous ones the caller retries
+// knowingly).
 func (cl *Client) proxyCall(req *request) (*response, error) {
-	if !cl.ProxyCapable() {
-		return nil, fmt.Errorf("%w (%s %q)", ErrLegacyProxy, req.Op, req.Array)
-	}
 	resp, err := cl.call(req)
 	if err != nil {
 		return nil, mapJobError(err)
@@ -185,9 +160,6 @@ func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 // result payload stays on the server; chain it into another job's submit or
 // ResolveProxy it on demand.
 func (cl *Client) JobProxy(id int64) (proxy.Handle, jobs.JobStatus, error) {
-	if !cl.ProxyCapable() {
-		return proxy.Handle{}, jobs.JobStatus{}, fmt.Errorf("%w (job-proxy %d)", ErrLegacyProxy, id)
-	}
 	resp, err := cl.call(&request{Op: opJobProxy, Job: jobWire{ID: id}})
 	if err != nil {
 		return proxy.Handle{}, jobs.JobStatus{}, mapJobError(err)

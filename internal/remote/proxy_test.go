@@ -11,20 +11,17 @@ import (
 )
 
 // newProxyServer is newJobServer with the proxy result plane enabled and a
-// capability-handshaking client (the proxy verbs require the hello).
+// client reporting into clObs.
 func newProxyServer(t *testing.T, clObs *obs.Registry) (*Client, *jobs.SolverService, string) {
 	t.Helper()
 	reg := proxy.NewRegistry(proxy.Config{Scope: "nodeA"})
 	t.Cleanup(reg.Close)
 	_, svc, _, addr := newJobServer(t, jobs.Config{MaxRunning: 2, QueueDepth: 16, Proxy: reg})
-	cl, err := DialOptions(addr, Options{Handshake: true, Obs: clObs})
+	cl, err := DialOptions(addr, Options{Obs: clObs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	if !cl.ProxyCapable() {
-		t.Fatal("proxy-enabled server did not advertise ProxyCapBit")
-	}
 	return cl, svc, addr
 }
 
@@ -181,44 +178,31 @@ func bServerRef(t *testing.T, svc *jobs.SolverService, iters int, seed int64) in
 	return st.ID
 }
 
-// TestProxyLegacyRejection: every proxy verb fails fast with the typed
-// ErrLegacyProxy when the capability was not negotiated — a client dialed
-// without the handshake, and a handshaking client against a server whose
-// proxy plane is off.
-func TestProxyLegacyRejection(t *testing.T) {
-	// Proxy-enabled server, legacy client (no handshake).
-	_, _, addr := newProxyServer(t, nil)
-	legacy, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
+// TestProxyVerbsWithoutRegistry: a job server with no proxy registry
+// answers every proxy verb with a typed error that survives the wire —
+// jobs.ErrNoProxy for stat, resolve and job-proxy, proxy.ErrUnknownProxy
+// for a chained submit — so no client-side gate is needed.
+func TestProxyVerbsWithoutRegistry(t *testing.T) {
+	cl, _, _, _ := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4})
 	ref := proxy.Ref{Name: "job1", Epoch: 1}
-	if _, _, err := legacy.ProxyStat(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("stat on legacy conn: %v", err)
+	if _, _, err := cl.ProxyStat(ref); !errors.Is(err, jobs.ErrNoProxy) {
+		t.Fatalf("stat without a registry: %v", err)
 	}
-	if _, _, err := legacy.ResolveProxy(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("resolve on legacy conn: %v", err)
+	if _, _, err := cl.ResolveProxy(ref); !errors.Is(err, jobs.ErrNoProxy) {
+		t.Fatalf("resolve without a registry: %v", err)
 	}
-	if _, _, err := legacy.JobProxy(1); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("job-proxy on legacy conn: %v", err)
-	}
-	if _, err := legacy.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Input: ref}); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("chained submit on legacy conn: %v", err)
-	}
-
-	// Proxy-less server, handshaking client: capability absent.
-	_, _, _, plainAddr := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4})
-	hs, err := DialOptions(plainAddr, Options{Handshake: true})
+	st, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hs.Close()
-	if hs.ProxyCapable() {
-		t.Fatal("proxy-less server advertised ProxyCapBit")
+	if _, _, err := cl.JobResult(st.ID); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := hs.ProxyStat(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("stat against proxy-less server: %v", err)
+	if _, _, err := cl.JobProxy(st.ID); !errors.Is(err, jobs.ErrNoProxy) {
+		t.Fatalf("job-proxy of a finished job without a registry: %v", err)
+	}
+	if _, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Input: ref}); !errors.Is(err, proxy.ErrUnknownProxy) {
+		t.Fatalf("chained submit without a registry: %v", err)
 	}
 }
 

@@ -166,7 +166,11 @@ func TestReplayResolvesLandedCreateAndDelete(t *testing.T) {
 	if err := cl.Create("c", 64, 32); err != nil {
 		t.Fatal(err)
 	}
-	se := &serverError{op: opCreate, msg: `storage: array "c" already exists`}
+	// A second create fails exactly as a replay of a landed one would.
+	se := cl.Create("c", 64, 32)
+	if se == nil {
+		t.Fatal("duplicate create accepted")
+	}
 	resolved, inconclusive := cl.resolveReplay(&request{Op: opCreate, Array: "c", Size: 64, BlockSize: 32}, se)
 	if !resolved || inconclusive {
 		t.Fatalf("landed create not resolved: %v %v", resolved, inconclusive)
@@ -175,10 +179,55 @@ func TestReplayResolvesLandedCreateAndDelete(t *testing.T) {
 	if resolved {
 		t.Fatal("create with different shape wrongly resolved")
 	}
-	de := &serverError{op: opDelete, msg: `storage: array "gone" does not exist`}
+	de := cl.Delete("gone")
+	if de == nil {
+		t.Fatal("delete of a missing array accepted")
+	}
 	resolved, _ = cl.resolveReplay(&request{Op: opDelete, Array: "gone"}, de)
 	if !resolved {
 		t.Fatal("landed delete not resolved")
+	}
+}
+
+// TestResolveReplayIgnoresArrayName: each server error below fails for a
+// reason other than the one resolveReplay looks for, on an array named
+// after that reason's text. None may be resolved as a landed mutation.
+func TestResolveReplayIgnoresArrayName(t *testing.T) {
+	srv, cl := startServer(t, "")
+	for _, name := range []string{"x does not exist", "x immutable violation"} {
+		if err := cl.Create(name, 64, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A held lease makes the delete fail while the array still exists.
+	lease, err := srv.store.Request("x does not exist", 0, 32, storage.PermWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+
+	rows := []struct {
+		name string
+		req  *request
+		err  error
+	}{
+		{"delete", &request{Op: opDelete, Array: "x does not exist"}, cl.Delete("x does not exist")},
+		{"create", &request{Op: opCreate, Array: "x already exists", Size: 0, BlockSize: 32}, cl.Create("x already exists", 0, 32)},
+		{"write", &request{Op: opWrite, Array: "x immutable violation", Lo: 0, Hi: 96, Data: make([]byte, 96)},
+			cl.WriteInterval("x immutable violation", 0, 96, make([]byte, 96))},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if r.err == nil {
+				t.Fatal("mutation unexpectedly succeeded")
+			}
+			if resolved, _ := cl.resolveReplay(r.req, r.err); resolved {
+				t.Fatalf("resolved as landed on error %q", r.err)
+			}
+		})
+	}
+	if _, err := cl.Info("x does not exist"); err != nil {
+		t.Fatalf("array gone after a refused delete: %v", err)
 	}
 }
 

@@ -2,14 +2,18 @@ package remote
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"dooc/internal/compress"
 	"dooc/internal/core"
 	"dooc/internal/sparse"
 	"dooc/internal/storage"
@@ -359,5 +363,77 @@ func BenchmarkRemoteRead(b *testing.B) {
 		if _, err := cl.ReadInterval("big", 0, size); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestServerClosesConnectionWithoutHello: a peer that opens with a gob
+// request instead of the v1 hello is closed without a reply.
+func TestServerClosesConnectionWithoutHello(t *testing.T) {
+	srv, _ := startServer(t, "")
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var msg bytes.Buffer
+	if err := gob.NewEncoder(&msg).Encode(&request{ID: 1, Op: opStats}); err != nil {
+		t.Fatal(err)
+	}
+	// A write error already means the server hung up; the read below
+	// confirms it either way.
+	raw.Write(msg.Bytes())
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := raw.Read(make([]byte, 64))
+	var ne net.Error
+	if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("server answered a hello-less connection: read %d bytes, err %v", n, err)
+	}
+}
+
+// TestDialFailsOnNonHelloReply: a listener that answers the hello with
+// anything but a v1 hello fails the dial, with or without a codec, and the
+// client never redials.
+func TestDialFailsOnNonHelloReply(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{}},
+		{"codec", Options{Codec: compress.Default()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var accepted []net.Conn
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					accepted = append(accepted, c)
+					c.Write([]byte("HTTP/1.1"))
+				}
+			}()
+			cl, err := DialOptions(ln.Addr().String(), tc.opts)
+			if err == nil {
+				cl.Close()
+			}
+			ln.Close()
+			<-done
+			for _, c := range accepted {
+				c.Close()
+			}
+			if err == nil {
+				t.Fatal("dial succeeded against a non-hello reply")
+			}
+			if len(accepted) != 1 {
+				t.Fatalf("listener accepted %d connections, want 1 (no redial)", len(accepted))
+			}
+		})
 	}
 }

@@ -23,24 +23,18 @@ type ServerOptions struct {
 	// Obs, when non-nil, receives the server's RPC metrics
 	// (dooc_remote_server_*).
 	Obs *obs.Registry
-	// Codec, when non-nil, compresses response payloads to clients that
-	// negotiated the capability. When nil, responses to such clients use
-	// the client's preferred codec instead; legacy clients always get plain
-	// payloads.
+	// Codec, when non-nil, compresses response payloads. When nil,
+	// responses use the codec the client's hello prefers (none for Raw).
 	Codec compress.Codec
 	// CompressMin is the smallest payload worth compressing (default 1 KiB).
 	CompressMin int
-	// Legacy emulates a pre-compression peer for compatibility tests: a
-	// connection opening with a capability hello is dropped, exactly as an
-	// old binary's gob decoder would drop it.
-	Legacy bool
 	// Jobs, when non-nil, enables the job-service verbs (submit, status,
 	// cancel, result, list) against this solver service. When nil those
 	// verbs fail cleanly; plain storage servers are unaffected.
 	Jobs *jobs.SolverService
 	// Peer, when non-nil, enables the cluster peer verbs (peer-put,
-	// peer-get, peer-del, peer-view) and advertises ClusterCapBit in the
-	// handshake hello, admitting this server to ring membership.
+	// peer-get, peer-del, peer-view) and sets ClusterCapBit in the
+	// handshake reply, admitting this server to ring membership.
 	Peer PeerHandler
 }
 
@@ -173,46 +167,31 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// negotiate handles an optional capability hello at the head of a fresh
-// connection. A legacy client opens straight with gob (never a 0x00 byte),
-// so the peek is unambiguous; the server replies with its own hello and
-// enables compressed responses the client's mask admits.
+// negotiate reads the client's hello at the head of a fresh connection and
+// answers with this server's role bits. Any error closes the connection
+// without a reply: a peer that does not open with a v1 hello cannot read
+// this build's frames.
 func (s *Server) negotiate(c *conn) error {
-	b, err := c.br.Peek(1)
-	if err != nil {
-		return err
-	}
-	if b[0] != helloByte {
-		return nil // legacy client: plain protocol
-	}
-	if s.opts.Legacy {
-		return fmt.Errorf("remote: legacy server dropping handshake hello")
-	}
 	buf := make([]byte, helloLen)
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return err
 	}
-	mask, pref, err := parseHello(buf)
+	_, pref, err := parseHello(buf)
 	if err != nil {
 		return err
 	}
-	replyMask := compress.Mask() &^ (ClusterCapBit | ProxyCapBit)
+	var roles uint8
 	if s.opts.Peer != nil {
-		replyMask |= ClusterCapBit
+		roles |= ClusterCapBit
 	}
-	if s.opts.Jobs != nil && s.opts.Jobs.ProxyEnabled() {
-		replyMask |= ProxyCapBit
-	}
-	if _, err := c.raw.Write(helloFrame(replyMask, pref)); err != nil {
+	if _, err := c.raw.Write(helloFrame(roles, pref)); err != nil {
 		return err
 	}
 	enc := s.opts.Codec
 	if enc == nil {
-		if cdc, ok := compress.ByID(pref); ok {
-			enc = cdc
-		}
+		enc, _ = compress.ByID(pref)
 	}
-	if enc != nil && enc.ID() != (compress.Raw{}).ID() && mask&(1<<enc.ID()) != 0 {
+	if enc != nil && enc.ID() != (compress.Raw{}).ID() {
 		c.codec = enc
 	}
 	return nil

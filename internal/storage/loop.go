@@ -15,6 +15,15 @@ import (
 // ErrClosed is returned for requests outstanding when the store shuts down.
 var ErrClosed = errors.New("storage: store closed")
 
+// ErrArrayExists and ErrNoArray open the error of a Create of an existing
+// array and a Delete of a missing one. The array name follows them, so a
+// caller matching the message text can match the prefix without the name
+// ever being mistaken for it.
+var (
+	ErrArrayExists = errors.New("storage: array already exists")
+	ErrNoArray     = errors.New("storage: array does not exist")
+)
+
 // ---- message types ----
 
 type leaseResult struct {
@@ -459,7 +468,7 @@ func (s *Store) handleCreate(st *loopState, info ArrayInfo) error {
 		return fmt.Errorf("storage: invalid array %q size=%d blockSize=%d", info.Name, info.Size, info.BlockSize)
 	}
 	if _, dup := st.arrays[info.Name]; dup {
-		return fmt.Errorf("storage: array %q already exists", info.Name)
+		return fmt.Errorf("%w: %q", ErrArrayExists, info.Name)
 	}
 	st.arrays[info.Name] = s.newArrayState(info, quotaFor(st, info.Name))
 	return nil
@@ -468,7 +477,7 @@ func (s *Store) handleCreate(st *loopState, info ArrayInfo) error {
 func (s *Store) handleDelete(st *loopState, name string) error {
 	ast, ok := st.arrays[name]
 	if !ok {
-		return fmt.Errorf("storage: array %q does not exist", name)
+		return fmt.Errorf("%w: %q", ErrNoArray, name)
 	}
 	for idx, b := range ast.blocks {
 		if b.refcnt > 0 {
