@@ -30,7 +30,11 @@
 // usual local-disk durability path.
 package cluster
 
-import "errors"
+import (
+	"errors"
+
+	"dooc/internal/errcode"
+)
 
 // ErrNoPeerRole reports a peer whose handshake does not advertise the
 // cluster peer role (a doocserve started without -node-id). Such a server
@@ -43,4 +47,4 @@ var ErrNoPeerRole = errors.New("cluster: peer has no cluster role")
 var ErrNotMember = errors.New("cluster: unknown member")
 
 // ErrClosed reports use of a closed cluster node.
-var ErrClosed = errors.New("cluster: node closed")
+var ErrClosed = errcode.New(errcode.ClusterClosed, "cluster: node closed")

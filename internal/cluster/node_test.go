@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"dooc/internal/core"
+	"dooc/internal/jobs"
+	"dooc/internal/proxy"
 	"dooc/internal/remote"
 	"dooc/internal/storage"
 )
@@ -519,6 +522,12 @@ func TestNodeDeathFailover(t *testing.T) {
 			t.Fatalf("%s view version %d not bumped", p.id, st.Version)
 		}
 	}
+	// OnDeath runs on its own goroutine: wait for both survivors' calls.
+	waitFor(t, 5*time.Second, "survivors' OnDeath calls", func() bool {
+		deathMu.Lock()
+		defer deathMu.Unlock()
+		return len(deaths["n0"]) > 0 && len(deaths["n1"]) > 0
+	})
 	deathMu.Lock()
 	for _, p := range peers[:2] {
 		if got := deaths[p.id]; len(got) != 1 || got[0] != "n2" {
@@ -753,5 +762,36 @@ func TestNodeClosedRefuses(t *testing.T) {
 	}
 	if _, _, _, err := n.PeerGet("A", 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed PeerGet err = %v", err)
+	}
+}
+
+// TestProxyFetchAnswerKeepsPeerLive: a peer that answers a proxy fetch is
+// alive, whatever the answer — here an unknown handle, once named like
+// another sentinel's message. Only a transport failure may mark it dead.
+func TestProxyFetchAnswerKeepsPeerLive(t *testing.T) {
+	sys, err := core.NewSystem(core.Options{Nodes: 1, WorkersPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	reg := proxy.NewRegistry(proxy.Config{Scope: "jx"})
+	defer reg.Close()
+	svc := jobs.NewSolverService(sys, core.SpMVConfig{}, jobs.Config{Proxy: reg})
+	srv, err := remote.ListenOptions(sys.Store(0), "127.0.0.1:0", remote.ServerOptions{Jobs: svc, Peer: &lateHandler{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peers := startTestCluster(t, 1, func(_ int, cfg *Config) {
+		cfg.Peers = append(cfg.Peers, Member{ID: "jx", Addr: srv.Addr()})
+	})
+	n := peers[0].node
+	for _, name := range []string{"job99", "jobs: queue full"} {
+		if _, err := n.ProxyFetch("jx", name, 1); !errors.Is(err, proxy.ErrUnknownProxy) {
+			t.Errorf("fetch of unknown handle %q: %v", name, err)
+		}
+	}
+	if live := n.LiveMembers(); len(live) != 2 {
+		t.Fatalf("live members after answered fetches = %v, want n0 and jx", live)
 	}
 }

@@ -8,9 +8,9 @@
 package jobs
 
 import (
-	"errors"
 	"time"
 
+	"dooc/internal/errcode"
 	"dooc/internal/obs"
 )
 
@@ -79,20 +79,20 @@ func stateFromString(s string) State {
 var (
 	// ErrQueueFull rejects a submission when QueueDepth jobs are already
 	// waiting.
-	ErrQueueFull = errors.New("jobs: queue full")
+	ErrQueueFull = errcode.New(errcode.JobsQueueFull, "jobs: queue full")
 	// ErrQuotaExceeded rejects a submission whose memory request does not
 	// fit in the service's aggregate budget alongside admitted work.
-	ErrQuotaExceeded = errors.New("jobs: aggregate memory quota exceeded")
+	ErrQuotaExceeded = errcode.New(errcode.JobsQuotaExceeded, "jobs: aggregate memory quota exceeded")
 	// ErrDraining rejects submissions during graceful shutdown.
-	ErrDraining = errors.New("jobs: service draining")
+	ErrDraining = errcode.New(errcode.JobsDraining, "jobs: service draining")
 	// ErrUnknownJob reports an ID the manager has never issued.
-	ErrUnknownJob = errors.New("jobs: unknown job")
+	ErrUnknownJob = errcode.New(errcode.JobsUnknownJob, "jobs: unknown job")
 	// ErrCancelled is the result error of a job cancelled before or during
 	// execution.
-	ErrCancelled = errors.New("jobs: job cancelled")
+	ErrCancelled = errcode.New(errcode.JobsCancelled, "jobs: job cancelled")
 	// ErrNoProxy reports a result-proxy request for a job that registered no
 	// handle (no proxy registry, or registration was rejected by quota).
-	ErrNoProxy = errors.New("jobs: job has no proxy handle")
+	ErrNoProxy = errcode.New(errcode.JobsNoProxy, "jobs: job has no proxy handle")
 )
 
 // Request carries a submission's scheduling and resource parameters.

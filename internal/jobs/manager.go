@@ -2,12 +2,12 @@ package jobs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"dooc/internal/errcode"
 	"dooc/internal/jobstore"
 	"dooc/internal/obs"
 	"dooc/internal/proxy"
@@ -278,6 +278,7 @@ func (m *Manager) recordLocked(j *Job) jobstore.Record {
 	rec.Events = j.flight.Events()
 	if j.err != nil {
 		rec.Err = j.err.Error()
+		rec.ErrCode = errcode.Of(j.err)
 	}
 	return rec
 }
@@ -736,7 +737,7 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 			resultSHA:    rec.ResultSHA,
 		}
 		if rec.Err != "" {
-			j.err = errors.New(rec.Err)
+			j.err = errcode.New(rec.ErrCode, rec.Err)
 		}
 		// Rebuild the causal identity and the pre-crash flight recorder from
 		// the journal; these events are the only surviving account of what

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"dooc/internal/errcode"
 	"dooc/internal/obs"
 )
 
@@ -67,6 +68,9 @@ type Record struct {
 	StartedAt   time.Time
 	FinishedAt  time.Time
 	Err         string
+	// ErrCode is Err's errcode, so recovery rebuilds the typed error
+	// (None for a success or an error without a code).
+	ErrCode errcode.Code
 
 	// ResultFile names the framed result payload under the store directory
 	// (done jobs only); ResultSHA is the payload's SHA-256 hex.
@@ -285,13 +289,13 @@ type ReplayStats struct {
 }
 
 // ErrClosed reports an append to a closed (or crash-simulated) store.
-var ErrClosed = errors.New("jobstore: store closed")
+var ErrClosed = errcode.New(errcode.JobstoreClosed, "jobstore: store closed")
 
 // ErrPoisoned reports a store that refused further appends after a journal
 // write or fsync failure it could not repair: accepting more entries after
 // garbage bytes (or an fsync of unknown effect) would ack transitions that
 // replay silently drops at the first torn frame.
-var ErrPoisoned = errors.New("jobstore: store poisoned by unrepairable journal write failure")
+var ErrPoisoned = errcode.New(errcode.JobstorePoisoned, "jobstore: store poisoned by unrepairable journal write failure")
 
 // Store is the crash-safe job journal. All methods are safe for concurrent
 // use; Append returns only after the entry is fsynced, so an acknowledged

@@ -26,7 +26,6 @@
 package proxy
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -34,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"dooc/internal/errcode"
 	"dooc/internal/jobstore"
 	"dooc/internal/obs"
 )
@@ -46,18 +46,18 @@ const OwnerOrigin = "origin"
 // Typed lifetime errors.
 var (
 	// ErrUnknownProxy reports a handle the registry has never issued.
-	ErrUnknownProxy = errors.New("proxy: unknown handle")
+	ErrUnknownProxy = errcode.New(errcode.ProxyUnknown, "proxy: unknown handle")
 	// ErrProxyGone reports a handle whose last reference dropped — the
 	// typed answer a resolve racing the final release gets instead of
 	// partial bytes.
-	ErrProxyGone = errors.New("proxy: handle released")
+	ErrProxyGone = errcode.New(errcode.ProxyGone, "proxy: handle released")
 	// ErrProxyQuota rejects a registration that would exceed the tenant's
 	// proxy count or resident-byte quota.
-	ErrProxyQuota = errors.New("proxy: tenant proxy quota exceeded")
+	ErrProxyQuota = errcode.New(errcode.ProxyQuota, "proxy: tenant proxy quota exceeded")
 	// ErrNoRefs reports a release with no matching reference outstanding.
-	ErrNoRefs = errors.New("proxy: release without outstanding reference")
+	ErrNoRefs = errcode.New(errcode.ProxyNoRefs, "proxy: release without outstanding reference")
 	// ErrClosed reports use of a closed registry.
-	ErrClosed = errors.New("proxy: registry closed")
+	ErrClosed = errcode.New(errcode.ProxyClosed, "proxy: registry closed")
 )
 
 // Handle is the compact pass-by-reference identity of a job result. It is

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"dooc/internal/compress"
+	"dooc/internal/errcode"
 	"dooc/internal/faults"
 	"dooc/internal/obs"
 	"dooc/internal/storage"
@@ -59,11 +59,21 @@ var errDeadline = errors.New("remote: request deadline exceeded")
 // is terminal (the connection is fine), but a replayed mutation may map it
 // back to success — see resolveReplay.
 type serverError struct {
-	op  opcode
-	msg string
+	op   opcode
+	code errcode.Code
+	msg  string
 }
 
 func (e *serverError) Error() string { return fmt.Sprintf("remote %s: %s", e.op, e.msg) }
+
+// Unwrap exposes the server's error code, so errors.Is matches the origin's
+// sentinel exactly as it would in the server's process.
+func (e *serverError) Unwrap() error {
+	if e.code == errcode.None {
+		return nil
+	}
+	return &errcode.Error{Code: e.code, Msg: e.msg}
+}
 
 type callResult struct {
 	resp *response
@@ -305,7 +315,7 @@ func (cl *Client) roundTrip(req *request, timeout time.Duration) (*response, err
 			return nil, res.err
 		}
 		if res.resp.Err != "" {
-			return nil, &serverError{op: req.Op, msg: res.resp.Err}
+			return nil, &serverError{op: req.Op, code: res.resp.Code, msg: res.resp.Err}
 		}
 		if err := verifyResponse(req, res.resp); err != nil {
 			cl.metrics.checksumFails.Inc()
@@ -329,10 +339,11 @@ func (cl *Client) roundTrip(req *request, timeout time.Duration) (*response, err
 	}
 }
 
-// retryable reports whether a failed attempt is worth a reconnect-and-replay.
-// Server-side errors and checksum mismatches are terminal; only transport
-// losses and deadlines are transient.
-func retryable(err error) bool {
+// IsTransport reports whether err is a transport failure — a lost
+// connection or an expired deadline — rather than an answer the server sent.
+// Only transport failures are worth a reconnect-and-replay; server errors
+// and checksum mismatches are terminal.
+func IsTransport(err error) bool {
 	return errors.Is(err, errConnLost) || errors.Is(err, errDeadline)
 }
 
@@ -377,7 +388,7 @@ func (cl *Client) call(req *request) (*response, error) {
 				continue
 			}
 		}
-		if !retryable(err) {
+		if !IsTransport(err) {
 			return nil, err
 		}
 		lastErr = err
@@ -396,16 +407,10 @@ func (cl *Client) call(req *request) (*response, error) {
 // landed left matching metadata, a delete that landed left nothing.
 // inconclusive means the verification itself hit a transport fault (or
 // found the interval unwritten) and the caller should replay the mutation.
-// The server's error is matched on its fixed storage prefix only: the text
-// after it holds the caller-chosen array name, which may contain anything.
 func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive bool) {
-	var se *serverError
-	if !errors.As(err, &se) {
-		return false, false
-	}
 	switch req.Op {
 	case opWrite:
-		if !strings.HasPrefix(se.msg, "storage: immutable violation:") {
+		if !errors.Is(err, storage.ErrImmutable) {
 			return false, false
 		}
 		// Bound the read-back: if the interval is not fully written the
@@ -416,26 +421,26 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 		}
 		resp, rerr := cl.roundTrip(&request{Op: opRead, Array: req.Array, Lo: req.Lo, Hi: req.Hi}, verifyTimeout)
 		if rerr != nil {
-			return false, retryable(rerr)
+			return false, IsTransport(rerr)
 		}
 		if bytes.Equal(resp.Data, req.Data) {
 			return true, false // the original write landed
 		}
 		return false, false // genuinely conflicting data
 	case opCreate:
-		if !strings.HasPrefix(se.msg, storage.ErrArrayExists.Error()) {
+		if !errors.Is(err, storage.ErrArrayExists) {
 			return false, false
 		}
 		resp, rerr := cl.roundTrip(&request{Op: opInfo, Array: req.Array}, cl.opts.Timeout)
 		if rerr != nil {
-			return false, retryable(rerr)
+			return false, IsTransport(rerr)
 		}
 		if resp.Info.Size == req.Size && resp.Info.BlockSize == req.BlockSize {
 			return true, false
 		}
 		return false, false
 	case opDelete:
-		if strings.HasPrefix(se.msg, storage.ErrNoArray.Error()) {
+		if errors.Is(err, storage.ErrNoArray) {
 			return true, false
 		}
 	}

@@ -10,9 +10,7 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"dooc/internal/jobs"
 	"dooc/internal/obs"
@@ -47,10 +45,9 @@ type jobWire struct {
 // dispatchJob executes one job-verb request. The caller runs it in a
 // per-request goroutine, so a blocking result wait stalls nothing else.
 func (s *Server) dispatchJob(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
 	svc := s.opts.Jobs
 	if svc == nil {
-		return fail(fmt.Errorf("remote: %s: job service not enabled on this server", req.Op))
+		return errResponse(fmt.Errorf("remote: %s: job service not enabled on this server", req.Op))
 	}
 	switch req.Op {
 	case opJobSubmit:
@@ -70,30 +67,30 @@ func (s *Server) dispatchJob(req *request) *response {
 		if req.Job.InputProxy != "" {
 			ref, err := proxy.ParseRef(req.Job.InputProxy)
 			if err != nil {
-				return fail(err)
+				return errResponse(err)
 			}
 			sr.Input = ref
 		}
 		st, err := svc.Submit(sr)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Job: st}
 	case opJobStatus:
 		st, err := svc.Manager.Status(req.Job.ID)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Job: st}
 	case opJobCancel:
 		if err := svc.Manager.Cancel(req.Job.ID); err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{}
 	case opJobResult:
 		data, err := svc.Manager.Result(req.Job.ID)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		st, _ := svc.Manager.Status(req.Job.ID)
 		return &response{Data: data, Job: st}
@@ -105,42 +102,12 @@ func (s *Server) dispatchJob(req *request) *response {
 	case opJobProxy:
 		h, err := svc.ResultProxy(req.Job.ID)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		st, _ := svc.Manager.Status(req.Job.ID)
 		return &response{Proxy: h, Job: st}
 	}
-	return fail(fmt.Errorf("remote: unknown job opcode %v", req.Op))
-}
-
-// mapJobError resurfaces the jobs package's typed errors from a server
-// error string, so remote callers can errors.Is() admission rejections and
-// cancellations exactly like local ones.
-func mapJobError(err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *serverError
-	if !errors.As(err, &se) {
-		return err
-	}
-	for _, typed := range []error{
-		jobs.ErrQueueFull,
-		jobs.ErrQuotaExceeded,
-		jobs.ErrDraining,
-		jobs.ErrUnknownJob,
-		jobs.ErrCancelled,
-		jobs.ErrNoProxy,
-		proxy.ErrUnknownProxy,
-		proxy.ErrProxyGone,
-		proxy.ErrProxyQuota,
-		proxy.ErrNoRefs,
-	} {
-		if strings.Contains(se.msg, typed.Error()) {
-			return fmt.Errorf("%w (%s)", typed, se.msg)
-		}
-	}
-	return err
+	return errResponse(fmt.Errorf("remote: unknown job opcode %v", req.Op))
 }
 
 // SubmitJob submits a solve request to the server's job service and
@@ -177,7 +144,7 @@ func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 		resp, err = cl.roundTrip(wire, cl.opts.Timeout)
 	}
 	if err != nil {
-		return jobs.JobStatus{}, mapJobError(err)
+		return jobs.JobStatus{}, err
 	}
 	return resp.Job, nil
 }
@@ -186,7 +153,7 @@ func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 func (cl *Client) JobStatus(id int64) (jobs.JobStatus, error) {
 	resp, err := cl.call(&request{Op: opJobStatus, Job: jobWire{ID: id}})
 	if err != nil {
-		return jobs.JobStatus{}, mapJobError(err)
+		return jobs.JobStatus{}, err
 	}
 	return resp.Job, nil
 }
@@ -195,7 +162,7 @@ func (cl *Client) JobStatus(id int64) (jobs.JobStatus, error) {
 // finished job is a no-op; unknown IDs map to jobs.ErrUnknownJob.
 func (cl *Client) CancelJob(id int64) error {
 	_, err := cl.call(&request{Op: opJobCancel, Job: jobWire{ID: id}})
-	return mapJobError(err)
+	return err
 }
 
 // JobResult blocks until the job reaches a terminal state and returns its
@@ -204,7 +171,7 @@ func (cl *Client) CancelJob(id int64) error {
 func (cl *Client) JobResult(id int64) ([]byte, jobs.JobStatus, error) {
 	resp, err := cl.call(&request{Op: opJobResult, Job: jobWire{ID: id}})
 	if err != nil {
-		return nil, jobs.JobStatus{}, mapJobError(err)
+		return nil, jobs.JobStatus{}, err
 	}
 	return resp.Data, resp.Job, nil
 }
@@ -213,7 +180,7 @@ func (cl *Client) JobResult(id int64) ([]byte, jobs.JobStatus, error) {
 func (cl *Client) ListJobs() ([]jobs.JobStatus, error) {
 	resp, err := cl.call(&request{Op: opJobList})
 	if err != nil {
-		return nil, mapJobError(err)
+		return nil, err
 	}
 	return resp.JobList, nil
 }
@@ -225,7 +192,7 @@ func (cl *Client) ListJobs() ([]jobs.JobStatus, error) {
 func (cl *Client) JobHistory(offset, limit int) ([]jobs.JobStatus, int, error) {
 	resp, err := cl.call(&request{Op: opJobHistory, Job: jobWire{Offset: offset, Limit: limit}})
 	if err != nil {
-		return nil, 0, mapJobError(err)
+		return nil, 0, err
 	}
 	return resp.JobList, resp.JobTotal, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"dooc/internal/core"
 	"dooc/internal/jobs"
+	"dooc/internal/jobstore"
 	"dooc/internal/sparse"
 )
 
@@ -253,6 +254,84 @@ func TestKeyedSubmitDedupAcrossReconnect(t *testing.T) {
 	}
 	if hist[0].ID != st.ID || hist[0].Key != req.Key {
 		t.Fatalf("history[0] = %+v, want job %d key %q", hist[0], st.ID, req.Key)
+	}
+}
+
+// TestRecoveredCancelKeepsErrorType cancels a running and a queued job
+// under a durable store, reopens the journal into a fresh service and
+// server, and checks both results are still jobs.ErrCancelled, locally and
+// over the wire.
+func TestRecoveredCancelKeepsErrorType(t *testing.T) {
+	storeDir := t.TempDir()
+	store, err := jobstore.Open(storeDir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, svc, sys, _ := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4, Store: store})
+	long, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := cl.JobStatus(long.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("long job never started")
+		}
+	}
+	queued, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancel the queued job first: the running one's slot would start it.
+	ids := []int64{queued.ID, long.ID}
+	for _, id := range ids {
+		if err := cl.CancelJob(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		if _, _, err := cl.JobResult(id); !errors.Is(err, jobs.ErrCancelled) {
+			t.Fatalf("job %d before restart: %v", id, err)
+		}
+	}
+	svc.Manager.Drain()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := jobstore.Open(storeDir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	svc2 := jobs.NewSolverService(sys, svc.Base(), jobs.Config{MaxRunning: 1, QueueDepth: 4, Store: re})
+	if _, err := svc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Manager.Drain()
+	srv2, err := ListenOptions(sys.Store(0), "127.0.0.1:0", ServerOptions{Jobs: svc2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	cl2, err := Dial(srv2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	for _, id := range ids {
+		if _, err := svc2.Manager.Result(id); !errors.Is(err, jobs.ErrCancelled) {
+			t.Errorf("job %d recovered locally: %v", id, err)
+		}
+		if _, _, err := cl2.JobResult(id); !errors.Is(err, jobs.ErrCancelled) {
+			t.Errorf("job %d recovered over the wire: %v", id, err)
+		}
 	}
 }
 

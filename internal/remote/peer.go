@@ -65,33 +65,32 @@ type PeerHandler interface {
 
 // dispatchPeer executes one cluster peer verb.
 func (s *Server) dispatchPeer(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
 	h := s.opts.Peer
 	if h == nil {
-		return fail(fmt.Errorf("remote: %s: cluster peer role not enabled on this server", req.Op))
+		return errResponse(fmt.Errorf("remote: %s: cluster peer role not enabled on this server", req.Op))
 	}
 	switch req.Op {
 	case opPeerPut:
 		ok, err := h.PeerPut(req.Array, req.Block, req.Epoch, req.Data, req.Durable)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Held: ok}
 	case opPeerGet:
 		data, epoch, held, err := h.PeerGet(req.Array, req.Block)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Data: data, Epoch: epoch, Held: held}
 	case opPeerDel:
 		if err := h.PeerDelete(req.Array); err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{}
 	case opPeerView:
 		return &response{View: h.PeerViewExchange(req.View)}
 	}
-	return fail(fmt.Errorf("remote: unknown peer opcode %v", req.Op))
+	return errResponse(fmt.Errorf("remote: unknown peer opcode %v", req.Op))
 }
 
 // ClusterCapable reports whether the server at the other end advertised

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dooc/internal/compress"
+	"dooc/internal/errcode"
 	"dooc/internal/faults"
 	"dooc/internal/jobs"
 	"dooc/internal/proxy"
@@ -149,8 +150,11 @@ type request struct {
 // response is one server->client message. Sum covers Data (the wire form
 // when Enc is true).
 type response struct {
-	ID    uint64
-	Err   string
+	ID  uint64
+	Err string
+	// Code is Err's errcode: the receiver rebuilds the typed error from it,
+	// never from Err's text. Gob omits it (None) on success.
+	Code  errcode.Code
 	Data  []byte
 	Enc   bool
 	Info  storage.ArrayInfo
@@ -173,6 +177,11 @@ type response struct {
 	Proxy proxy.Handle
 	Refs  int
 	Total int64
+}
+
+// errResponse is the one way a server answers a request with an error.
+func errResponse(err error) *response {
+	return &response{Err: err.Error(), Code: errcode.Of(err)}
 }
 
 // Connection handshake. Every connection opens with an 8-byte hello from

@@ -8,9 +8,12 @@
 // additionally verified against the handle's registered SHA-256, end to
 // end.
 //
-// A job service without a registry answers every proxy verb with a typed
-// error the client resurfaces: jobs.ErrNoProxy for stat, addref, release,
-// resolve and job-proxy, proxy.ErrUnknownProxy for a chained submit.
+// Every proxy verb rides the full recovery policy: stat and resolve are
+// reads, addref/release with a named owner are absorbing, and anonymous
+// ones the caller retries knowingly. A job service without a registry
+// answers every proxy verb with a typed error: jobs.ErrNoProxy for stat,
+// addref, release, resolve and job-proxy, proxy.ErrUnknownProxy for a
+// chained submit.
 
 package remote
 
@@ -30,61 +33,48 @@ const resolveChunk = 256 << 10
 // dispatchProxy executes one proxy verb. The ref travels in req.Array
 // ("name@epoch[@scope]") and an optional owner in req.Job.Key.
 func (s *Server) dispatchProxy(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
 	svc := s.opts.Jobs
 	if svc == nil {
-		return fail(fmt.Errorf("remote: %s: job service not enabled on this server", req.Op))
+		return errResponse(fmt.Errorf("remote: %s: job service not enabled on this server", req.Op))
 	}
 	ref, err := proxy.ParseRef(req.Array)
 	if err != nil {
-		return fail(err)
+		return errResponse(err)
 	}
 	switch req.Op {
 	case opProxyStat:
 		h, refs, err := svc.ProxyStat(ref)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Proxy: h, Refs: refs, Total: h.Length}
 	case opProxyAddRef:
 		h, err := svc.ProxyAddRef(ref, req.Job.Key)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		_, refs, _ := svc.ProxyStat(ref)
 		return &response{Proxy: h, Refs: refs}
 	case opProxyRelease:
 		refs, err := svc.ProxyRelease(ref, req.Job.Key)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Refs: refs}
 	case opProxyResolve:
 		data, total, err := svc.ResolveProxyRange(ref, req.Lo, req.Hi)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Data: data, Total: total}
 	}
-	return fail(fmt.Errorf("remote: unknown proxy opcode %v", req.Op))
-}
-
-// proxyCall runs a proxy verb with the full recovery policy (every proxy
-// verb is idempotent: stat and resolve are reads, addref/release with a
-// named owner are absorbing, and anonymous ones the caller retries
-// knowingly).
-func (cl *Client) proxyCall(req *request) (*response, error) {
-	resp, err := cl.call(req)
-	if err != nil {
-		return nil, mapJobError(err)
-	}
-	return resp, nil
+	return errResponse(fmt.Errorf("remote: unknown proxy opcode %v", req.Op))
 }
 
 // ProxyStat fetches a handle's metadata and live reference count without
 // touching its payload.
 func (cl *Client) ProxyStat(ref proxy.Ref) (proxy.Handle, int, error) {
-	resp, err := cl.proxyCall(&request{Op: opProxyStat, Array: ref.String()})
+	resp, err := cl.call(&request{Op: opProxyStat, Array: ref.String()})
 	if err != nil {
 		return proxy.Handle{}, 0, err
 	}
@@ -94,7 +84,7 @@ func (cl *Client) ProxyStat(ref proxy.Ref) (proxy.Handle, int, error) {
 // ProxyAddRef takes a reference on a handle. owner "" takes an anonymous
 // client reference; a named owner is idempotent (re-adding is a no-op).
 func (cl *Client) ProxyAddRef(ref proxy.Ref, owner string) (proxy.Handle, int, error) {
-	resp, err := cl.proxyCall(&request{Op: opProxyAddRef, Array: ref.String(), Job: jobWire{Key: owner}})
+	resp, err := cl.call(&request{Op: opProxyAddRef, Array: ref.String(), Job: jobWire{Key: owner}})
 	if err != nil {
 		return proxy.Handle{}, 0, err
 	}
@@ -106,7 +96,7 @@ func (cl *Client) ProxyAddRef(ref proxy.Ref, owner string) (proxy.Handle, int, e
 // with no anonymous references outstanding drops the origin lease instead —
 // the explicit "free this result" verb.
 func (cl *Client) ProxyRelease(ref proxy.Ref, owner string) (int, error) {
-	resp, err := cl.proxyCall(&request{Op: opProxyRelease, Array: ref.String(), Job: jobWire{Key: owner}})
+	resp, err := cl.call(&request{Op: opProxyRelease, Array: ref.String(), Job: jobWire{Key: owner}})
 	if err != nil {
 		return 0, err
 	}
@@ -126,7 +116,7 @@ func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 		if total >= 0 && hi > total {
 			hi = total
 		}
-		resp, err := cl.proxyCall(&request{Op: opProxyResolve, Array: ref.String(), Lo: lo, Hi: hi})
+		resp, err := cl.call(&request{Op: opProxyResolve, Array: ref.String(), Lo: lo, Hi: hi})
 		if err != nil {
 			return nil, proxy.Handle{}, err
 		}
@@ -162,7 +152,7 @@ func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 func (cl *Client) JobProxy(id int64) (proxy.Handle, jobs.JobStatus, error) {
 	resp, err := cl.call(&request{Op: opJobProxy, Job: jobWire{ID: id}})
 	if err != nil {
-		return proxy.Handle{}, jobs.JobStatus{}, mapJobError(err)
+		return proxy.Handle{}, jobs.JobStatus{}, err
 	}
 	return resp.Proxy, resp.Job, nil
 }

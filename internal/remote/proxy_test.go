@@ -101,7 +101,7 @@ func TestProxyChunkedResolve(t *testing.T) {
 		if hi > h.Length {
 			hi = h.Length
 		}
-		resp, err := cl.proxyCall(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: lo, Hi: hi})
+		resp, err := cl.call(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatalf("chunk [%d,%d): %v", lo, hi, err)
 		}
@@ -114,7 +114,7 @@ func TestProxyChunkedResolve(t *testing.T) {
 		t.Fatal("hand-chunked payload differs from streamed resolve")
 	}
 	// An out-of-bounds range is rejected, not clamped into silence.
-	if _, err := cl.proxyCall(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: h.Length + 1, Hi: h.Length + 2}); err == nil {
+	if _, err := cl.call(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: h.Length + 1, Hi: h.Length + 2}); err == nil {
 		t.Fatal("out-of-bounds resolve range accepted")
 	}
 }
@@ -207,11 +207,14 @@ func TestProxyVerbsWithoutRegistry(t *testing.T) {
 }
 
 // TestProxyTypedErrorsOverWire: registry lifetime errors survive the wire
-// round trip as errors.Is-able values.
+// round trip as errors.Is-able values, whatever the handle is named.
 func TestProxyTypedErrorsOverWire(t *testing.T) {
 	cl, _, _ := newProxyServer(t, nil)
-	if _, _, err := cl.ProxyStat(proxy.Ref{Name: "job99", Epoch: 1}); !errors.Is(err, proxy.ErrUnknownProxy) {
-		t.Fatalf("unknown handle: %v", err)
+	for _, name := range []string{"job99", "jobs: queue full"} {
+		_, _, err := cl.ProxyStat(proxy.Ref{Name: name, Epoch: 1})
+		if !errors.Is(err, proxy.ErrUnknownProxy) || errors.Is(err, jobs.ErrQueueFull) {
+			t.Fatalf("unknown handle %q: %v", name, err)
+		}
 	}
 	st, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "alice", Iters: 1, Seed: 1})
 	if err != nil {

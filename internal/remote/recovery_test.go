@@ -149,7 +149,11 @@ func TestReplayResolvesLandedWrite(t *testing.T) {
 	if err := cl.WriteInterval("w", 0, 8, payload); err != nil {
 		t.Fatal(err)
 	}
-	se := &serverError{op: opWrite, msg: `storage: immutable violation: "w"[0,8) already written or being written`}
+	// A second write fails exactly as a replay of a landed one would.
+	se := cl.WriteInterval("w", 0, 8, payload)
+	if se == nil {
+		t.Fatal("second write of a written interval accepted")
+	}
 	resolved, inconclusive := cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, Data: payload}, se)
 	if !resolved || inconclusive {
 		t.Fatalf("landed write not resolved: %v %v", resolved, inconclusive)

@@ -227,11 +227,14 @@ func TestRemoteConcurrentClients(t *testing.T) {
 
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, cl := startServer(t, "")
-	if _, err := cl.ReadInterval("ghost", 0, 8); err == nil {
-		t.Error("read of unknown array succeeded")
+	if _, err := cl.ReadInterval("ghost", 0, 8); !errors.Is(err, storage.ErrNoArray) {
+		t.Errorf("read of unknown array: %v", err)
 	}
-	if _, err := cl.Info("ghost"); err == nil {
-		t.Error("info of unknown array succeeded")
+	if _, err := cl.Info("ghost"); !errors.Is(err, storage.ErrNoArray) {
+		t.Errorf("info of unknown array: %v", err)
+	}
+	if err := cl.Delete("ghost"); !errors.Is(err, storage.ErrNoArray) {
+		t.Errorf("delete of unknown array: %v", err)
 	}
 	if err := cl.Create("", 1, 1); err == nil {
 		t.Error("invalid create succeeded")

@@ -236,7 +236,7 @@ func (s *Server) handleConn(c *conn) {
 				// A corrupted payload must never reach the store: reject it
 				// with the attributed checksum error instead of dispatching.
 				s.metrics.checksumFails.Inc()
-				resp = &response{Err: err.Error()}
+				resp = errResponse(err)
 			} else if req.Enc {
 				// The checksum held over the wire bytes; now undo the wire
 				// compression. A frame that fails its own CRC must never
@@ -244,7 +244,7 @@ func (s *Server) handleConn(c *conn) {
 				data, derr := decodePayload(req.Data, s.metrics.wire)
 				if derr != nil {
 					s.metrics.checksumFails.Inc()
-					resp = &response{Err: fmt.Sprintf("remote: %s %q [%d,%d): decoding wire frame: %v", req.Op, req.Array, req.Lo, req.Hi, derr)}
+					resp = errResponse(fmt.Errorf("remote: %s %q [%d,%d): decoding wire frame: %v", req.Op, req.Array, req.Lo, req.Hi, derr))
 				} else {
 					req.Data, req.Enc = data, false
 					resp = s.dispatch(&req)
@@ -268,31 +268,30 @@ func (s *Server) handleConn(c *conn) {
 
 // dispatch executes one request against the wrapped store.
 func (s *Server) dispatch(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
 	switch req.Op {
 	case opCreate:
 		if err := s.store.Create(req.Array, req.Size, req.BlockSize); err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 	case opDelete:
 		if err := s.store.Delete(req.Array); err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 	case opRead:
 		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermRead)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		data := append([]byte(nil), lease.Data...)
 		lease.Release()
 		return &response{Data: data}
 	case opWrite:
 		if int64(len(req.Data)) != req.Hi-req.Lo {
-			return fail(fmt.Errorf("remote: write payload %d bytes for interval [%d,%d)", len(req.Data), req.Lo, req.Hi))
+			return errResponse(fmt.Errorf("remote: write payload %d bytes for interval [%d,%d)", len(req.Data), req.Lo, req.Hi))
 		}
 		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermWrite)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		copy(lease.Data, req.Data)
 		lease.Release()
@@ -300,17 +299,17 @@ func (s *Server) dispatch(req *request) *response {
 		s.store.Prefetch(req.Array, req.Lo, req.Hi)
 	case opFlush:
 		if err := s.store.Flush(req.Array); err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 	case opInfo:
 		info, err := s.store.Info(req.Array)
 		if err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 		return &response{Info: info}
 	case opEvict:
 		if err := s.store.Evict(req.Array, req.Block); err != nil {
-			return fail(err)
+			return errResponse(err)
 		}
 	case opStats:
 		return &response{Stats: s.store.Stats()}
@@ -321,7 +320,7 @@ func (s *Server) dispatch(req *request) *response {
 	case opProxyStat, opProxyAddRef, opProxyRelease, opProxyResolve:
 		return s.dispatchProxy(req)
 	default:
-		return fail(fmt.Errorf("remote: unknown opcode %v", req.Op))
+		return errResponse(fmt.Errorf("remote: unknown opcode %v", req.Op))
 	}
 	return &response{}
 }

@@ -1,5 +1,6 @@
 // Package simclock provides a deterministic discrete-event virtual clock and
-// a flow-level, max-min fair-shared resource model.
+// a flow-level, max-min fair-shared resource model. perfmodel's tests use it
+// as an independent oracle for the closed-form transfer times.
 //
 // The clock advances only when events fire; there is no wall-clock dependency,
 // which makes large-scale performance experiments (terabyte transfers, hours
@@ -77,17 +78,6 @@ func New() *Clock {
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Pending reports the number of scheduled (non-canceled) events.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, e := range c.events {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
-
 // Handle identifies a scheduled event so it can be canceled.
 type Handle struct{ e *event }
 
@@ -119,9 +109,9 @@ func (c *Clock) After(d Time, fn func()) Handle {
 	return c.At(c.now+d, fn)
 }
 
-// Step fires the next pending event, advancing the clock to its time.
-// It reports whether an event fired.
-func (c *Clock) Step() bool {
+// Run fires events in time order, advancing the clock to each, until none
+// remain.
+func (c *Clock) Run() {
 	for len(c.events) > 0 {
 		e := heap.Pop(&c.events).(*event)
 		if e.canceled {
@@ -129,33 +119,6 @@ func (c *Clock) Step() bool {
 		}
 		c.now = e.at
 		e.fn()
-		return true
-	}
-	return false
-}
-
-// Run fires events until none remain.
-func (c *Clock) Run() {
-	for c.Step() {
-	}
-}
-
-// RunUntil fires events with time <= t, then advances the clock to t.
-func (c *Clock) RunUntil(t Time) {
-	for len(c.events) > 0 {
-		// Peek.
-		next := c.events[0]
-		if next.canceled {
-			heap.Pop(&c.events)
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		c.Step()
-	}
-	if t > c.now {
-		c.now = t
 	}
 }
 

@@ -1,9 +1,6 @@
 package simclock
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Resource is a shared capacity (bytes/s, flops/s, messages/s...). Flows that
 // traverse a resource divide its capacity max-min fairly.
@@ -14,57 +11,21 @@ type Resource struct {
 	eng      *Engine
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the resource's total capacity in units/s.
-func (r *Resource) Capacity() float64 { return r.capacity }
-
-// Active returns the number of flows currently traversing the resource.
-func (r *Resource) Active() int { return len(r.flows) }
-
-// Utilization returns the fraction of capacity currently allocated, in [0,1].
-func (r *Resource) Utilization() float64 {
-	if r.capacity == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, f := range r.flows {
-		sum += f.rate
-	}
-	return sum / r.capacity
-}
-
 // Flow is a unit of work (a transfer, a compute kernel) that consumes one or
 // more resources until `remaining` units have been processed.
 type Flow struct {
 	label      string
 	remaining  float64
-	total      float64
 	rate       float64
 	resources  []*Resource
 	onDone     func(t Time)
-	eng        *Engine
 	lastUpdate Time
 	doneEvent  Handle
 	finished   bool
-	started    Time
 
 	// frozen is scratch state for the max-min computation.
 	frozen bool
 }
-
-// Label returns the flow's diagnostic label.
-func (f *Flow) Label() string { return f.label }
-
-// Rate returns the flow's current allocated rate in units/s.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Remaining returns the amount of work left, as of the last rate change.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool { return f.finished }
 
 // Engine couples a Clock with a set of resources and active flows and keeps
 // the max-min fair allocation up to date as flows start and finish.
@@ -78,9 +39,6 @@ type Engine struct {
 func NewEngine(clock *Clock) *Engine {
 	return &Engine{clock: clock}
 }
-
-// Clock returns the engine's clock.
-func (e *Engine) Clock() *Clock { return e.clock }
 
 // NewResource registers a resource with the given capacity (units/s).
 // Capacity must be positive.
@@ -104,12 +62,9 @@ func (e *Engine) StartFlow(label string, amount float64, resources []*Resource, 
 	f := &Flow{
 		label:      label,
 		remaining:  amount,
-		total:      amount,
 		resources:  append([]*Resource(nil), resources...),
 		onDone:     onDone,
-		eng:        e,
 		lastUpdate: e.clock.Now(),
-		started:    e.clock.Now(),
 	}
 	for _, r := range f.resources {
 		if r.eng != e {
@@ -133,18 +88,6 @@ func (e *Engine) StartFlow(label string, amount float64, resources []*Resource, 
 	}
 	e.reallocate()
 	return f
-}
-
-// CancelFlow aborts a flow without firing its completion callback.
-// Progress up to now is accounted; the flow is detached from its resources.
-func (e *Engine) CancelFlow(f *Flow) {
-	if f.finished {
-		return
-	}
-	e.settle()
-	e.detach(f)
-	f.finished = true
-	e.reallocate()
 }
 
 // settle accrues progress on every active flow up to the current time.
@@ -279,14 +222,4 @@ func (e *Engine) finisher(f *Flow) func() {
 			f.onDone(e.clock.Now())
 		}
 	}
-}
-
-// ActiveFlows returns the labels of active flows, sorted, for diagnostics.
-func (e *Engine) ActiveFlows() []string {
-	out := make([]string, 0, len(e.flows))
-	for _, f := range e.flows {
-		out = append(out, f.label)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,18 +9,19 @@ import (
 	"sync"
 
 	"dooc/internal/compress"
+	"dooc/internal/errcode"
 )
 
 // ErrClosed is returned for requests outstanding when the store shuts down.
-var ErrClosed = errors.New("storage: store closed")
+var ErrClosed = errcode.New(errcode.StorageClosed, "storage: store closed")
 
-// ErrArrayExists and ErrNoArray open the error of a Create of an existing
-// array and a Delete of a missing one. The array name follows them, so a
-// caller matching the message text can match the prefix without the name
-// ever being mistaken for it.
+// ErrArrayExists rejects a Create of an existing array, ErrNoArray any
+// request naming a missing one, and ErrImmutable a write over an interval
+// already written or being written.
 var (
-	ErrArrayExists = errors.New("storage: array already exists")
-	ErrNoArray     = errors.New("storage: array does not exist")
+	ErrArrayExists = errcode.New(errcode.StorageArrayExists, "storage: array already exists")
+	ErrNoArray     = errcode.New(errcode.StorageNoArray, "storage: array does not exist")
+	ErrImmutable   = errcode.New(errcode.StorageImmutable, "storage: immutable violation")
 )
 
 // ---- message types ----
@@ -319,7 +319,7 @@ func (s *Store) loop() {
 			if ast, ok := st.arrays[m.array]; ok {
 				m.reply <- infoResult{info: ast.info}
 			} else {
-				m.reply <- infoResult{err: fmt.Errorf("storage: unknown array %q", m.array)}
+				m.reply <- infoResult{err: fmt.Errorf("%w: %q", ErrNoArray, m.array)}
 			}
 		case cmdEvict:
 			m.reply <- s.handleEvict(st, m)
@@ -575,7 +575,7 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 	}
 	ast, ok := st.arrays[c.array]
 	if !ok {
-		c.reply <- leaseResult{err: fmt.Errorf("storage: unknown array %q", c.array)}
+		c.reply <- leaseResult{err: fmt.Errorf("%w: %q", ErrNoArray, c.array)}
 		return
 	}
 	if c.byBlock {
@@ -630,13 +630,13 @@ func relSpan(info ArrayInfo, bi int, gs span) span {
 func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState, want span, reply chan leaseResult) {
 	rs := relSpan(ast.info, bi, want)
 	if b.written.covers(rs) || b.overlapsAny(rs) {
-		reply <- leaseResult{err: fmt.Errorf("storage: immutable violation: %q[%d,%d) already written or being written", ast.info.Name, want.Lo, want.Hi)}
+		reply <- leaseResult{err: fmt.Errorf("%w: %q[%d,%d) already written or being written", ErrImmutable, ast.info.Name, want.Lo, want.Hi)}
 		return
 	}
 	// Also reject partial overlap with written spans.
 	for _, w := range b.written.spans {
 		if w.overlaps(rs) {
-			reply <- leaseResult{err: fmt.Errorf("storage: immutable violation: %q[%d,%d) overlaps written data", ast.info.Name, want.Lo, want.Hi)}
+			reply <- leaseResult{err: fmt.Errorf("%w: %q[%d,%d) overlaps written data", ErrImmutable, ast.info.Name, want.Lo, want.Hi)}
 			return
 		}
 	}
@@ -1179,7 +1179,7 @@ func (s *Store) dropBlock(st *loopState, name string, idx int, b *blockState) {
 func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 	ast, ok := st.arrays[m.array]
 	if !ok {
-		return fmt.Errorf("storage: unknown array %q", m.array)
+		return fmt.Errorf("%w: %q", ErrNoArray, m.array)
 	}
 	b, ok := ast.blocks[m.block]
 	if !ok || b.buf == nil {
@@ -1243,7 +1243,7 @@ func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 	ast, ok := st.arrays[c.array]
 	if !ok {
-		c.reply <- fmt.Errorf("storage: unknown array %q", c.array)
+		c.reply <- fmt.Errorf("%w: %q", ErrNoArray, c.array)
 		return
 	}
 	if s.cfg.ScratchDir == "" {

@@ -1,8 +1,9 @@
 package storage
 
 import (
-	"errors"
 	"strings"
+
+	"dooc/internal/errcode"
 )
 
 // This file is the per-group resource-quota layer the job service builds on.
@@ -24,7 +25,7 @@ import (
 
 // ErrScratchQuota is returned by Flush when the write would exceed the
 // array's quota-group scratch ceiling.
-var ErrScratchQuota = errors.New("storage: scratch quota exceeded")
+var ErrScratchQuota = errcode.New(errcode.StorageScratchQuota, "storage: scratch quota exceeded")
 
 // QuotaStats is a point-in-time snapshot of one quota group on one node.
 type QuotaStats struct {
